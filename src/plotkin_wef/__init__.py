@@ -24,7 +24,6 @@ from .codetree import (
 from .combinatorics import BinomialTable, binomial, plotkin_coefficient, shared_table
 from .enumerator import WeightEnumerator, format_poly, parse_poly
 from .errors import BudgetError, PolyParseError, RankDeficiencyWarning
-from .kernel import available_backends, backend_name, use_backend
 from .oracle import (
     BinaryMatrix,
     MonteCarloEstimate,
@@ -52,8 +51,6 @@ __all__ = [
     "RankDeficiencyWarning",
     "WeightEnumerator",
     "active_leaves",
-    "available_backends",
-    "backend_name",
     "binomial",
     "combine",
     "combine_single_weight",
@@ -74,6 +71,5 @@ __all__ = [
     "tree_to_json_dict",
     "truncated_union_bound",
     "uniform_permutation",
-    "use_backend",
     "__version__",
 ]

@@ -1,14 +1,17 @@
 """Truncated union bound over the binary-input AWGN channel.
 
 The one floating-point corner of the package: spectra arrive exact and are
-converted to floats term by term.  BPSK signalling is assumed, so a weight-w
-pairwise error event has argument sqrt(2 * w * rate * 10^(ebn0_db/10)).
+converted to floats term by term, through logarithms for a coefficient beyond
+float range.  BPSK signalling is assumed, so a weight-w pairwise error event
+has argument sqrt(2 * w * rate * 10^(ebn0_db/10)).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .enumerator import WeightEnumerator
 
@@ -32,13 +35,46 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _log_q_function(x: float) -> float:
+    """log Q(x), finite also where Q(x) itself underflows.
+
+    Uses erfc while its value is a normal float; beyond that (x > ~37.5) the
+    asymptotic tail Q(x) ~ exp(-x^2/2) / (x sqrt(2 pi)) * (1 - 1/x^2 + 3/x^4),
+    whose first omitted term is below 6e-9 relative there.
+    """
+    tail = math.erfc(x / math.sqrt(2.0))
+    if tail >= sys.float_info.min:
+        return math.log(tail) - math.log(2.0)
+    inv_sq = 1.0 / (x * x)
+    return (
+        -x * x / 2.0
+        - math.log(x * math.sqrt(2.0 * math.pi))
+        + math.log1p(-inv_sq + 3.0 * inv_sq * inv_sq)
+    )
+
+
+def _term(coeff: Fraction, x: float) -> float:
+    """A_w * Q(x); in the log domain only when A_w exceeds float range."""
+    try:
+        return float(coeff) * q_function(x)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(
+            math.log(coeff.numerator) - math.log(coeff.denominator) + _log_q_function(x)
+        )
+    except OverflowError:
+        return math.inf
+
+
 def truncated_union_bound(
     spectrum: WeightEnumerator, truncate: int, channel: ChannelPoint
 ) -> float:
     """Union bound on block error probability using weights 1..truncate.
 
     Returns sum over w of A_w * Q(sqrt(2 * w * rate * gamma)) with
-    gamma = 10^(ebn0_db / 10); nondecreasing in ``truncate``.
+    gamma = 10^(ebn0_db / 10); nondecreasing in ``truncate``.  Raises
+    ValueError when the sum exceeds float range.
     """
     if not 1 <= truncate <= spectrum.length:
         raise ValueError(f"truncate {truncate} outside 1..{spectrum.length}")
@@ -47,5 +83,7 @@ def truncated_union_bound(
     for w in range(1, truncate + 1):
         coeff = spectrum.coeffs[w]
         if coeff:
-            total += float(coeff) * q_function(math.sqrt(2.0 * w * channel.rate * gamma))
+            total += _term(coeff, math.sqrt(2.0 * w * channel.rate * gamma))
+    if not math.isfinite(total):
+        raise ValueError("union bound exceeds float range at this channel point")
     return total

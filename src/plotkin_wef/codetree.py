@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .enumerator import WeightEnumerator
+from .enumerator import WeightEnumerator, is_int
 from .oracle import BinaryMatrix
 from .plotkin import combine
 
@@ -96,7 +96,7 @@ def tree_from_active_set(m: int, active) -> CodeTree:
     limit = 1 << m
     active_set = set()
     for i in active:
-        if not isinstance(i, int) or not 0 <= i < limit:
+        if not is_int(i) or not 0 <= i < limit:
             raise ValueError(f"leaf index {i!r} outside 0..{limit - 1}")
         active_set.add(i)
 
@@ -188,13 +188,13 @@ def tree_from_json_dict(obj) -> CodeTree:
         params = obj["rm"]
         if (
             not isinstance(params, dict)
-            or not isinstance(params.get("r"), int)
-            or not isinstance(params.get("m"), int)
+            or not is_int(params.get("r"))
+            or not is_int(params.get("m"))
         ):
             raise ValueError('"rm" form needs integer fields "r" and "m"')
         return rm_tree(params["r"], params["m"])
     if "m" in obj and "active" in obj:
-        if not isinstance(obj["m"], int) or not isinstance(obj["active"], list):
+        if not is_int(obj["m"]) or not isinstance(obj["active"], list):
             raise ValueError('"active" form needs integer "m" and a list "active"')
         return tree_from_active_set(obj["m"], obj["active"])
     raise ValueError('tree JSON needs either an "rm" or an "m"/"active" form')

@@ -19,10 +19,15 @@ _TERM_RE = re.compile(
 )
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool (JSON ``true``/``false`` load as bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -88,7 +93,7 @@ class WeightEnumerator:
         if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
             raise ValueError("enumerator JSON must have 'n' and 'coeffs' keys")
         n = obj["n"]
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValueError(f"'n' must be a nonnegative integer, got {n!r}")
         raw = obj["coeffs"]
         if not isinstance(raw, dict):

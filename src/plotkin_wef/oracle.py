@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .enumerator import WeightEnumerator
+from .enumerator import WeightEnumerator, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
 BRUTE_FORCE_MAX_DIMENSION = 24
@@ -96,7 +96,7 @@ class BinaryMatrix:
         if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
             raise ValueError("matrix JSON must have 'n' and 'rows' keys")
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"'n' must be a positive integer, got {n!r}")
         return cls.from_strings(obj["rows"], n)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -248,6 +249,52 @@ class TestBound:
         )
 
 
+def full_space_spectrum(n, weights):
+    return {"n": n, "coeffs": {str(w): str(math.comb(n, w)) for w in weights}}
+
+
+def mp_union_bound(spectrum, rate, ebn0, truncate):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    gamma = mpmath.mpf(10) ** (mpmath.mpf(ebn0) / 10)
+    total = mpmath.mpf(0)
+    for key, value in spectrum["coeffs"].items():
+        w = int(key)
+        if 1 <= w <= truncate:
+            x = mpmath.sqrt(2 * w * mpmath.mpf(rate) * gamma)
+            total += mpmath.mpf(int(value)) * mpmath.erfc(x / mpmath.sqrt(2)) / 2
+    return float(total)
+
+
+class TestBoundBeyondFloatRange:
+    """Coefficients such as C(1100, 550) exceed float range."""
+
+    @pytest.mark.parametrize(
+        "weights, rel_tol",
+        [(range(1101), 1e-9), (range(500, 601), 1e-8)],
+        ids=["full-space", "overflowing-only"],
+    )
+    def test_matches_high_precision_reference(self, capsys, tmp_path, weights, rel_tol):
+        spectrum = full_space_spectrum(1100, weights)
+        path = write_json(tmp_path / "s.json", spectrum)
+        code, out, err = run(
+            capsys, "bound", path, "--rate", "1", "--ebn0", "3", "--truncate", "1100"
+        )
+        assert code == 0, err
+        reference = mp_union_bound(spectrum, 1, 3, 1100)
+        assert abs(float(out) - reference) <= rel_tol * reference
+
+    def test_sum_beyond_float_range_exit_2(self, capsys, tmp_path):
+        path = write_json(tmp_path / "s.json", full_space_spectrum(1100, range(1101)))
+        code, out, err = run(
+            capsys, "bound", path, "--rate", "1", "--ebn0", "-30", "--truncate", "1100"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestTree:
     def test_rm_and_active_forms_agree_byte_for_byte(self, capsys, tmp_path):
         rm_file = write_json(tmp_path / "rm.json", {"rm": {"r": 1, "m": 3}})
@@ -315,6 +362,29 @@ class TestRoundTrips:
             parse_poly("1 + 14x^4 + x^8", 8), parse_poly("1 + 14x^4 + x^8", 8)
         )
         assert comb_out.strip() == str(expected)
+
+    @pytest.mark.parametrize(
+        "command, obj",
+        [
+            ("combine", {"n": True, "coeffs": {"0": "1"}}),
+            ("combine", {"n": 1, "coeffs": {"0": True}}),
+            ("tree", {"m": True, "active": [True]}),
+            ("tree", {"m": 2, "active": [True]}),
+            ("tree", {"rm": {"r": True, "m": 3}}),
+            ("oracle", {"n": True, "rows": ["1"]}),
+        ],
+        ids=[
+            "spectrum-n", "coefficient", "tree-m", "tree-leaf", "tree-rm", "matrix-n"
+        ],
+    )
+    def test_json_bool_is_not_an_integer(self, capsys, tmp_path, command, obj):
+        path = write_json(tmp_path / "in.json", obj)
+        files = [path] if command == "tree" else [path, path]
+        code, out, err = run(capsys, command, *files)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
