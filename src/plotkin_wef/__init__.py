@@ -15,6 +15,7 @@ from .codetree import (
     Leaf,
     active_leaves,
     ensemble_wef,
+    ensemble_wef_prefix,
     generator_matrix,
     rm_tree,
     tree_from_active_set,
@@ -33,7 +34,7 @@ from .oracle import (
     exact_wef_bruteforce,
     uniform_permutation,
 )
-from .plotkin import combine, combine_single_weight, min_distance_combine
+from .plotkin import combine, combine_prefix, combine_single_weight, min_distance_combine
 
 __version__ = "0.1.0"
 
@@ -53,8 +54,10 @@ __all__ = [
     "active_leaves",
     "binomial",
     "combine",
+    "combine_prefix",
     "combine_single_weight",
     "ensemble_wef",
+    "ensemble_wef_prefix",
     "ensemble_wef_exhaustive",
     "ensemble_wef_montecarlo",
     "exact_wef_bruteforce",

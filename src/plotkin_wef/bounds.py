@@ -53,8 +53,20 @@ def _log_q_function(x: float) -> float:
     )
 
 
+def _argument_beyond_float_range(w: int, channel: ChannelPoint) -> float:
+    """sqrt(2 * w * rate * gamma) through logarithms, for a gamma above float
+    range; inf once the argument itself leaves float range."""
+    log_square = math.log(2.0 * w * channel.rate) + channel.ebn0_db * math.log(10.0) / 10.0
+    if log_square >= 2.0 * math.log(sys.float_info.max):
+        return math.inf
+    return math.exp(log_square / 2.0)
+
+
 def _term(coeff: Fraction, x: float) -> float:
     """A_w * Q(x); in the log domain only when A_w exceeds float range."""
+    if x == math.inf:
+        # Q(inf) = 0 exactly, whatever the size of A_w.
+        return 0.0
     try:
         return float(coeff) * q_function(x)
     except OverflowError:
@@ -73,17 +85,25 @@ def truncated_union_bound(
     """Union bound on block error probability using weights 1..truncate.
 
     Returns sum over w of A_w * Q(sqrt(2 * w * rate * gamma)) with
-    gamma = 10^(ebn0_db / 10); nondecreasing in ``truncate``.  Raises
-    ValueError when the sum exceeds float range.
+    gamma = 10^(ebn0_db / 10), taken through logarithms when gamma is above
+    float range; nondecreasing in ``truncate``.  Raises ValueError when the
+    sum exceeds float range.
     """
     if not 1 <= truncate <= spectrum.length:
         raise ValueError(f"truncate {truncate} outside 1..{spectrum.length}")
-    gamma = 10.0 ** (channel.ebn0_db / 10.0)
+    try:
+        gamma = 10.0 ** (channel.ebn0_db / 10.0)
+    except OverflowError:
+        gamma = None
     total = 0.0
     for w in range(1, truncate + 1):
         coeff = spectrum.coeffs[w]
         if coeff:
-            total += _term(coeff, math.sqrt(2.0 * w * channel.rate * gamma))
+            if gamma is None:
+                x = _argument_beyond_float_range(w, channel)
+            else:
+                x = math.sqrt(2.0 * w * channel.rate * gamma)
+            total += _term(coeff, x)
     if not math.isfinite(total):
         raise ValueError("union bound exceeds float range at this channel point")
     return total

@@ -21,17 +21,21 @@ from fractions import Fraction
 
 from .bounds import ChannelPoint, truncated_union_bound
 from .codetree import (
-    Branch,
     ensemble_wef,
+    ensemble_wef_prefix,
     generator_matrix,
     rm_tree,
     tree_from_json_dict,
+    tree_json_depth,
     tree_to_json_dict,
 )
 from .enumerator import WeightEnumerator, format_poly
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
-from .plotkin import combine, combine_single_weight
+# combine_single_weight is not called here any more; it stays importable from
+# this module because perfbench's tracer looks it up here and its self-test
+# fails on a missing per-layer entry point.
+from .plotkin import combine, combine_prefix, combine_single_weight  # noqa: F401
 
 DEFAULT_MAX_LENGTH = 4096
 MAX_LENGTH_ENV = "PLOTKIN_WEF_MAX_LENGTH"
@@ -47,17 +51,36 @@ def _max_length_default() -> int:
         raise ValueError(f"{MAX_LENGTH_ENV}={raw!r} is not an integer") from None
 
 
+def _guard_error(length_text: str, max_length: int) -> BudgetError:
+    return BudgetError(
+        f"length {length_text} exceeds the guard ({max_length});"
+        f" raise --max-length or {MAX_LENGTH_ENV} if intended"
+    )
+
+
 def _check_length(length: int, max_length: int) -> None:
     if length > max_length:
-        raise BudgetError(
-            f"length {length} exceeds the guard ({max_length});"
-            f" raise --max-length or {MAX_LENGTH_ENV} if intended"
-        )
+        raise _guard_error(str(length), max_length)
+
+
+def _tree_length(m: int, max_length: int) -> int:
+    """Length 2^m of a depth-m tree, checked against the guard before any
+    tree is built; a depth far past the guard never builds 2^m."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if m > max(max_length.bit_length(), 64):
+        raise _guard_error(f"2^{m}", max_length)
+    length = 1 << m
+    _check_length(length, max_length)
+    return length
 
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_spectrum(path: str) -> WeightEnumerator:
@@ -102,10 +125,6 @@ def _full_items(enum: WeightEnumerator):
     return list(enumerate(enum.coeffs))
 
 
-def _partial_items(u_enum, v_enum, upto: int):
-    return [(w, combine_single_weight(u_enum, v_enum, w)) for w in range(upto + 1)]
-
-
 def _parse_rate(text: str) -> float:
     try:
         return float(Fraction(text))
@@ -113,20 +132,18 @@ def _parse_rate(text: str) -> float:
         raise ValueError(f"bad rate {text!r}: use a float or p/q") from None
 
 
+def _check_partial(partial: int, length: int) -> None:
+    if not 0 <= partial <= length:
+        raise ValueError(f"--partial {partial} outside 0..{length}")
+
+
 def _cmd_rm(args) -> tuple[dict, list[str]]:
-    length = 1 << args.m
-    _check_length(length, args.max_length)
+    length = _tree_length(args.m, args.max_length)
     tree = rm_tree(args.r, args.m)
     echo = {"rm": {"r": args.r, "m": args.m}}
     if args.partial is not None:
-        if not 0 <= args.partial <= length:
-            raise ValueError(f"--partial {args.partial} outside 0..{length}")
-        if isinstance(tree, Branch):
-            items = _partial_items(
-                ensemble_wef(tree.left), ensemble_wef(tree.right), args.partial
-            )
-        else:
-            items = _full_items(ensemble_wef(tree))[: args.partial + 1]
+        _check_partial(args.partial, length)
+        items = enumerate(ensemble_wef_prefix(tree, args.partial))
         record = _record("rm", echo, length, tree.dimension, items, args.partial)
     else:
         record = _record(
@@ -136,8 +153,9 @@ def _cmd_rm(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_tree(args) -> tuple[dict, list[str]]:
-    tree = tree_from_json_dict(_load_json(args.tree_file))
-    _check_length(tree.length, args.max_length)
+    obj = _load_json(args.tree_file)
+    _tree_length(tree_json_depth(obj), args.max_length)
+    tree = tree_from_json_dict(obj)
     enum = ensemble_wef(tree)
     record = _record(
         "tree",
@@ -166,9 +184,10 @@ def _cmd_combine(args) -> tuple[dict, list[str]]:
     _check_length(length, args.max_length)
     echo = {"u": u_enum.to_json_dict(), "v": v_enum.to_json_dict()}
     if args.partial is not None:
-        if not 0 <= args.partial <= length:
-            raise ValueError(f"--partial {args.partial} outside 0..{length}")
-        items = _partial_items(u_enum, v_enum, args.partial)
+        _check_partial(args.partial, length)
+        items = enumerate(
+            combine_prefix(u_enum.length, u_enum.coeffs, v_enum.coeffs, args.partial)
+        )
         record = _record("combine", echo, length, None, items, args.partial)
     else:
         out = combine(u_enum, v_enum)
@@ -281,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("r", type=int)
     p_rm.add_argument("m", type=int)
     p_rm.add_argument("--partial", type=int, default=None, metavar="W",
-                      help="emit only weights <= W")
+                      help="compute and emit only weights <= W")
     add_common(p_rm)
     p_rm.set_defaults(handler=_cmd_rm)
 
@@ -296,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comb.add_argument("u_file", help="spectrum JSON of the code supplying u")
     p_comb.add_argument("v_file", help="spectrum JSON of the code supplying v")
     p_comb.add_argument("--partial", type=int, default=None, metavar="W",
-                        help="emit only weights <= W")
+                        help="compute and emit only weights <= W")
     add_common(p_comb)
     p_comb.set_defaults(handler=_cmd_combine)
 
@@ -331,6 +350,9 @@ def main(argv=None) -> int:
         record, human_lines = args.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

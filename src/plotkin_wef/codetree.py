@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .enumerator import WeightEnumerator, is_int
 from .oracle import BinaryMatrix
-from .plotkin import combine
+from .plotkin import combine_prefix
 
 
 class CodeTree:
@@ -129,8 +129,34 @@ def depth_of(tree: CodeTree) -> int:
     return tree.length.bit_length() - 1
 
 
-_LEAF_FROZEN_WEF = WeightEnumerator(1, (Fraction(1), Fraction(0)))
-_LEAF_ACTIVE_WEF = WeightEnumerator(1, (Fraction(1), Fraction(1)))
+_LEAF_FROZEN = (Fraction(1), Fraction(0))
+_LEAF_ACTIVE = (Fraction(1), Fraction(1))
+
+
+def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree).
+
+    Every node keeps only its weights <= max_weight, which is all its parent
+    needs (plotkin.combine_prefix), so a small ``max_weight`` costs O(W^3)
+    per distinct node whatever the length.  Structurally equal subtrees are
+    evaluated once per call.
+    """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    cache: dict[CodeTree, tuple[Fraction, ...]] = {}
+
+    def wef(t: CodeTree) -> tuple[Fraction, ...]:
+        got = cache.get(t)
+        if got is not None:
+            return got
+        if isinstance(t, Leaf):
+            out = (_LEAF_ACTIVE if t.active else _LEAF_FROZEN)[: max_weight + 1]
+        else:
+            out = combine_prefix(t.left.length, wef(t.left), wef(t.right), max_weight)
+        cache[t] = out
+        return out
+
+    return wef(tree)
 
 
 def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
@@ -140,20 +166,7 @@ def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
     Frozen leaf -> 1; active leaf -> 1 + x; branch -> combine(left, right).
     Structurally equal subtrees are evaluated once per call.
     """
-    cache: dict[CodeTree, WeightEnumerator] = {}
-
-    def wef(t: CodeTree) -> WeightEnumerator:
-        got = cache.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Leaf):
-            out = _LEAF_ACTIVE_WEF if t.active else _LEAF_FROZEN_WEF
-        else:
-            out = combine(wef(t.left), wef(t.right))
-        cache[t] = out
-        return out
-
-    return wef(tree)
+    return WeightEnumerator(tree.length, ensemble_wef_prefix(tree, tree.length))
 
 
 def generator_matrix(tree: CodeTree) -> BinaryMatrix:
@@ -180,8 +193,8 @@ def tree_to_json_dict(tree: CodeTree) -> dict:
     return {"m": depth_of(tree), "active": list(active_leaves(tree))}
 
 
-def tree_from_json_dict(obj) -> CodeTree:
-    """Accepts {"m":..., "active":[...]} or {"rm": {"r":..., "m":...}}."""
+def tree_json_depth(obj) -> int:
+    """Depth m of a tree JSON object, validated without building the tree."""
     if not isinstance(obj, dict):
         raise ValueError("tree JSON must be an object")
     if "rm" in obj:
@@ -192,9 +205,17 @@ def tree_from_json_dict(obj) -> CodeTree:
             or not is_int(params.get("m"))
         ):
             raise ValueError('"rm" form needs integer fields "r" and "m"')
-        return rm_tree(params["r"], params["m"])
+        return params["m"]
     if "m" in obj and "active" in obj:
         if not is_int(obj["m"]) or not isinstance(obj["active"], list):
             raise ValueError('"active" form needs integer "m" and a list "active"')
-        return tree_from_active_set(obj["m"], obj["active"])
+        return obj["m"]
     raise ValueError('tree JSON needs either an "rm" or an "m"/"active" form')
+
+
+def tree_from_json_dict(obj) -> CodeTree:
+    """Accepts {"m":..., "active":[...]} or {"rm": {"r":..., "m":...}}."""
+    m = tree_json_depth(obj)
+    if "rm" in obj:
+        return rm_tree(obj["rm"]["r"], m)
+    return tree_from_active_set(m, obj["active"])

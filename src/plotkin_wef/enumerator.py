@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,10 +31,22 @@ def _as_fraction(value) -> Fraction:
     if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(
         f"coefficients must be exact (int, Fraction or 'p/q' string), got {type(value).__name__}"
     )
+
+
+def common_denominator(coeffs) -> tuple[int, list[int]]:
+    """Return (den, nums) with coeffs[j] == nums[j] / den exactly, den minimal."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return den, nums
 
 
 @dataclass(frozen=True)
@@ -75,11 +88,7 @@ class WeightEnumerator:
 
     def common_denominator_form(self) -> tuple[int, list[int]]:
         """Return (den, nums) with coeffs[j] == nums[j] / den exactly."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        return den, nums
+        return common_denominator(self.coeffs)
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; zero coefficients omitted, values as strings."""
@@ -93,8 +102,8 @@ class WeightEnumerator:
         if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
             raise ValueError("enumerator JSON must have 'n' and 'coeffs' keys")
         n = obj["n"]
-        if not is_int(n) or n < 0:
-            raise ValueError(f"'n' must be a nonnegative integer, got {n!r}")
+        if not is_int(n) or not 0 <= n < sys.maxsize:
+            raise ValueError(f"'n' must be an integer in 0..{sys.maxsize - 1}, got {n!r}")
         raw = obj["coeffs"]
         if not isinstance(raw, dict):
             raise ValueError("'coeffs' must be an object mapping weight to value")

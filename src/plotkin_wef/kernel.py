@@ -2,9 +2,14 @@
 
 ``u_hat`` and ``v_hat`` are component coefficients pre-scaled by the caller so
 that every division by a binomial is already folded in (see plotkin.py);
-``rows`` is a Pascal triangle covering rows 0..n.  All arithmetic is on Python
-integers and the result is exact; the caller performs the single closing
-division.
+``rows[a]`` holds binomials C(a, .).  All arithmetic is on Python integers and
+the result is exact; the caller performs the single closing division.
+
+``combine_numerators(n, u_hat, v_hat, rows, max_weight)`` evaluates the
+output weights 0..max_weight (at most 2n) in one call.  With
+k = min(max_weight, n), those weights, like ``single_weight_numerator`` at
+w = max_weight, read u_hat and v_hat at indices 0..k, the full rows 0..k and
+entries 0..k of the rows n-k..n; nothing else of ``rows`` needs to exist.
 
 For output weight w the cell (wv, i) contributes
 
@@ -44,5 +49,5 @@ def single_weight_numerator(n, u_hat, v_hat, rows, w):
 _single_weight = single_weight_numerator
 
 
-def combine_numerators(n, u_hat, v_hat, rows):
-    return [_single_weight(n, u_hat, v_hat, rows, w) for w in range(2 * n + 1)]
+def combine_numerators(n, u_hat, v_hat, rows, max_weight):
+    return [_single_weight(n, u_hat, v_hat, rows, w) for w in range(max_weight + 1)]

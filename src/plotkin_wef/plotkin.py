@@ -13,35 +13,84 @@ weight (combinatorics.plotkin_coefficient) into the inputs; the kernel then
 works purely on big integers and one exact division per output weight closes
 the computation.  The per-weight sums are independent of each other, so
 results never depend on evaluation order.
+
+An output word of weight w has a u-part and a v-part of weight at most w, so
+the output weights 0..W need only the component weights 0..min(W, n).
+``combine_prefix`` evaluates just those, and the full ``combine`` is its
+W = 2n case; truncation therefore closes under tree recursion
+(codetree.ensemble_wef_prefix).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from . import kernel
 from .combinatorics import shared_table
-from .enumerator import WeightEnumerator
+from .enumerator import WeightEnumerator, common_denominator
 
 
-def _scaled_setup(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator):
-    n = u_spectrum.length
-    if v_spectrum.length != n:
-        raise ValueError(
-            f"component lengths differ: {n} vs {v_spectrum.length}"
-        )
+def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
+    """Rows 0..k in full and entries 0..k of rows n-k..n, keyed by row (2k < n).
+
+    Exactly what the kernel reads for output weights <= k; the rows near n
+    start from C(n-k, 0..k) and grow by Pascal's rule restricted to 0..k.
+    """
+    rows = dict(enumerate(shared_table(k).rows[: k + 1]))
+    a = n - k
+    row = [1] * (k + 1)
+    for b in range(1, k + 1):
+        row[b] = row[b - 1] * (a - b + 1) // b
+    rows[a] = row
+    for a in range(n - k + 1, n + 1):
+        row = [1] + [row[b - 1] + row[b] for b in range(1, k + 1)]
+        rows[a] = row
+    return rows
+
+
+def _scaled_setup(n: int, u_coeffs, v_coeffs, k: int):
+    """Kernel inputs for the output weights <= W, given k = min(W, n).
+
+    Reads the coefficient prefixes 0..k only.  ``scale`` = lcm(C(n, 0..k))
+    makes every u_hat, v_hat an integer; the closing denominator is
+    u_den * v_den * scale^2.
+    """
     if n < 1:
         raise ValueError("component length must be >= 1")
-    rows = shared_table(n).rows
+    if len(u_coeffs) <= k or len(v_coeffs) <= k:
+        raise ValueError(f"component spectra need coefficients 0..{k}")
+    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
     row_n = rows[n]
-    scale = reduce(math.lcm, row_n)
-    u_den, u_nums = u_spectrum.common_denominator_form()
-    v_den, v_nums = v_spectrum.common_denominator_form()
+    scale = math.lcm(*row_n[: k + 1])
+    u_den, u_nums = common_denominator(u_coeffs[: k + 1])
+    v_den, v_nums = common_denominator(v_coeffs[: k + 1])
     u_hat = [num * (scale // row_n[j]) for j, num in enumerate(u_nums)]
     v_hat = [num * (scale // row_n[j]) for j, num in enumerate(v_nums)]
-    return n, rows, u_hat, v_hat, u_den * v_den * scale * scale
+    return rows, u_hat, v_hat, u_den * v_den * scale * scale
+
+
+def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> int:
+    if v_spectrum.length != u_spectrum.length:
+        raise ValueError(
+            f"component lengths differ: {u_spectrum.length} vs {v_spectrum.length}"
+        )
+    return u_spectrum.length
+
+
+def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^0..x^min(max_weight, 2n) of the combine of two
+    length-n spectra given as coefficient sequences.
+
+    Only the coefficients 0..min(max_weight, n) of each component are read,
+    so prefixes of that length suffice.  One kernel call evaluates every
+    requested weight.
+    """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    rows, u_hat, v_hat, den = _scaled_setup(n, u_coeffs, v_coeffs, min(max_weight, n))
+    nums = kernel.combine_numerators(n, u_hat, v_hat, rows, min(max_weight, 2 * n))
+    return tuple(Fraction(s, den) for s in nums)
 
 
 def combine(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> WeightEnumerator:
@@ -51,9 +100,9 @@ def combine(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> Weigh
     ``v_spectrum`` to the code supplying v (second half, plus its permuted
     copy in the first half).  The output has length 2n.
     """
-    n, rows, u_hat, v_hat, den = _scaled_setup(u_spectrum, v_spectrum)
-    nums = kernel.combine_numerators(n, u_hat, v_hat, rows)
-    return WeightEnumerator(2 * n, tuple(Fraction(s, den) for s in nums))
+    n = _common_length(u_spectrum, v_spectrum)
+    coeffs = combine_prefix(n, u_spectrum.coeffs, v_spectrum.coeffs, 2 * n)
+    return WeightEnumerator(2 * n, coeffs)
 
 
 def combine_single_weight(
@@ -61,15 +110,15 @@ def combine_single_weight(
 ) -> Fraction:
     """Coefficient of x^w of combine(...), without computing the other weights.
 
-    Costs O(n^2) scalar operations for the one weight.
+    Reads the component coefficients 0..min(w, n) only and costs O(n^2)
+    scalar operations for the one weight.
     """
-    if v_spectrum.length != u_spectrum.length:
-        raise ValueError(
-            f"component lengths differ: {u_spectrum.length} vs {v_spectrum.length}"
-        )
-    if not 0 <= w <= 2 * u_spectrum.length:
-        raise ValueError(f"weight {w} outside 0..{2 * u_spectrum.length}")
-    n, rows, u_hat, v_hat, den = _scaled_setup(u_spectrum, v_spectrum)
+    n = _common_length(u_spectrum, v_spectrum)
+    if not 0 <= w <= 2 * n:
+        raise ValueError(f"weight {w} outside 0..{2 * n}")
+    rows, u_hat, v_hat, den = _scaled_setup(
+        n, u_spectrum.coeffs, v_spectrum.coeffs, min(w, n)
+    )
     return Fraction(kernel.single_weight_numerator(n, u_hat, v_hat, rows, w), den)
 
 

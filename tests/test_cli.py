@@ -81,6 +81,12 @@ class TestRm:
         assert code == 3
         assert "exceeds" in err
 
+    def test_negative_depth_exit_2(self, capsys):
+        code, out, err = run(capsys, "rm", "2", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be >= 0, got -1\n"
+
     def test_max_length_flag_and_env(self, capsys, monkeypatch):
         assert run(capsys, "rm", "0", "5", "--max-length", "16")[0] == 3
         assert run(capsys, "rm", "0", "5", "--max-length", "32")[0] == 0
@@ -283,6 +289,33 @@ class TestBoundBeyondFloatRange:
         assert code == 0, err
         reference = mp_union_bound(spectrum, 1, 3, 1100)
         assert abs(float(out) - reference) <= rel_tol * reference
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [{"n": 3, "coeffs": {"0": "1", "3": "1"}}, full_space_spectrum(1100, range(1101))],
+        ids=["small", "full-space"],
+    )
+    def test_ebn0_beyond_float_range_gives_zero(self, capsys, tmp_path, spectrum):
+        path = write_json(tmp_path / "s.json", spectrum)
+        truncate = str(spectrum["n"])
+        for ebn0 in ("4000", "1e308"):
+            code, out, err = run(
+                capsys, "bound", path, "--rate", "1", "--ebn0", ebn0, "--truncate", truncate
+            )
+            assert code == 0, err
+            assert out == "0.0\n"
+            assert "Traceback" not in err
+
+    def test_ebn0_beyond_float_range_with_tiny_rate(self, capsys, tmp_path):
+        # gamma = 10^309 overflows, but rate * gamma stays small: Q is near 1/2.
+        spectrum = {"n": 3, "coeffs": {"0": "1", "1": "3", "3": "1"}}
+        path = write_json(tmp_path / "s.json", spectrum)
+        code, out, err = run(
+            capsys, "bound", path, "--rate", "1e-320", "--ebn0", "3090", "--truncate", "3"
+        )
+        assert code == 0, err
+        reference = mp_union_bound(spectrum, 1e-320, 3090, 3)
+        assert abs(float(out) - reference) <= 1e-9 * reference
 
     def test_sum_beyond_float_range_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path / "s.json", full_space_spectrum(1100, range(1101)))
