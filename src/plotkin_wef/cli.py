@@ -29,7 +29,7 @@ from .codetree import (
     tree_json_depth,
     tree_to_json_dict,
 )
-from .enumerator import WeightEnumerator, format_poly
+from .enumerator import WeightEnumerator, format_poly, is_int
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
 # combine_single_weight is not called here any more; it stays importable from
@@ -83,11 +83,15 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_spectrum(path: str) -> WeightEnumerator:
+def _spectrum_obj(path: str):
     obj = _load_json(path)
     if isinstance(obj, dict) and "spectrum" in obj:
         obj = obj["spectrum"]
-    return WeightEnumerator.from_json_dict(obj)
+    return obj
+
+
+def _load_spectrum(path: str) -> WeightEnumerator:
+    return WeightEnumerator.from_json_dict(_spectrum_obj(path))
 
 
 def _load_matrix(path: str) -> BinaryMatrix:
@@ -174,14 +178,21 @@ def _cmd_tree(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_combine(args) -> tuple[dict, list[str]]:
-    u_enum = _load_spectrum(args.u_file)
-    v_enum = _load_spectrum(args.v_file)
+    u_obj = _spectrum_obj(args.u_file)
+    v_obj = _spectrum_obj(args.v_file)
+    # The guard runs on the declared lengths, before n + 1 coefficients
+    # of either input are built.
+    for obj in (u_obj, v_obj):
+        n = obj.get("n") if isinstance(obj, dict) else None
+        if is_int(n):
+            _check_length(2 * n, args.max_length)
+    u_enum = WeightEnumerator.from_json_dict(u_obj)
+    v_enum = WeightEnumerator.from_json_dict(v_obj)
     if u_enum.length != v_enum.length:
         raise ValueError(
             f"component lengths differ: {u_enum.length} vs {v_enum.length}"
         )
     length = 2 * u_enum.length
-    _check_length(length, args.max_length)
     echo = {"u": u_enum.to_json_dict(), "v": v_enum.to_json_dict()}
     if args.partial is not None:
         _check_partial(args.partial, length)
@@ -353,6 +364,20 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # A size no list index can hold, e.g. a matrix declaring n = 2**64
+        # for the Monte Carlo oracle, which has no length guard.
+        print(f"error: size out of range ({exc})", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # A tree deeper than the interpreter's stack allows, e.g. rm with a
+        # depth in the thousands under a raised --max-length.
+        print(
+            f"error: too deep to build or evaluate within the recursion limit"
+            f" ({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 3
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

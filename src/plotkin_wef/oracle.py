@@ -40,9 +40,10 @@ class BinaryMatrix:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         rows = tuple(self.rows)
-        limit = 1 << self.n
         for r, row in enumerate(rows):
-            if not isinstance(row, int) or not 0 <= row < limit:
+            # bit_length, not a comparison with 1 << n: n may be far too
+            # large for that integer to exist.
+            if not isinstance(row, int) or row < 0 or row.bit_length() > self.n:
                 raise ValueError(f"row {r} does not fit in {self.n} columns")
         object.__setattr__(self, "rows", rows)
 

@@ -7,12 +7,12 @@ two component spectra; this module evaluates it exactly.  The semantics is the
 ensemble average over the shared random permutation: no concentration claim is
 made for any specific draw.
 
-The evaluation pre-scales both coefficient vectors by a common integer
-multiple of the row-n binomials, which folds every division of the per-cell
-weight (combinatorics.plotkin_coefficient) into the inputs; the kernel then
-works purely on big integers and one exact division per output weight closes
-the computation.  The per-weight sums are independent of each other, so
-results never depend on evaluation order.
+The evaluation takes u as integer numerators over its common denominator and
+pre-scales v by lcm of the row-n binomials, which folds the hypergeometric
+division by C(n, v-weight) into v; the kernel (a Horner evaluation per output
+weight, see kernel.py) then works purely on big integers, and one exact
+division per output weight closes the computation.  The per-weight sums are
+independent of each other, so results never depend on evaluation order.
 
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
@@ -32,17 +32,16 @@ from .enumerator import WeightEnumerator, common_denominator
 
 
 def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
-    """Rows 0..k in full and entries 0..k of rows n-k..n, keyed by row (2k < n).
+    """Entries 0..k of rows n-k..n, keyed by row (2k < n).
 
-    Exactly what the kernel reads for output weights <= k; the rows near n
-    start from C(n-k, 0..k) and grow by Pascal's rule restricted to 0..k.
+    Exactly what the kernel and the scale read for output weights <= k; the
+    rows start from C(n-k, 0..k) and grow by Pascal's rule restricted to 0..k.
     """
-    rows = dict(enumerate(shared_table(k).rows[: k + 1]))
     a = n - k
     row = [1] * (k + 1)
     for b in range(1, k + 1):
         row[b] = row[b - 1] * (a - b + 1) // b
-    rows[a] = row
+    rows = {a: row}
     for a in range(n - k + 1, n + 1):
         row = [1] + [row[b - 1] + row[b] for b in range(1, k + 1)]
         rows[a] = row
@@ -52,9 +51,10 @@ def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
 def _scaled_setup(n: int, u_coeffs, v_coeffs, k: int):
     """Kernel inputs for the output weights <= W, given k = min(W, n).
 
-    Reads the coefficient prefixes 0..k only.  ``scale`` = lcm(C(n, 0..k))
-    makes every u_hat, v_hat an integer; the closing denominator is
-    u_den * v_den * scale^2.
+    Reads the coefficient prefixes 0..k only.  u enters as its integer
+    numerators over the common denominator u_den; ``scale`` =
+    lcm(C(n, 0..k)) makes every v_hat[b] = v_num[b] * scale / C(n, b) an
+    integer.  The closing denominator is u_den * v_den * scale.
     """
     if n < 1:
         raise ValueError("component length must be >= 1")
@@ -65,9 +65,8 @@ def _scaled_setup(n: int, u_coeffs, v_coeffs, k: int):
     scale = math.lcm(*row_n[: k + 1])
     u_den, u_nums = common_denominator(u_coeffs[: k + 1])
     v_den, v_nums = common_denominator(v_coeffs[: k + 1])
-    u_hat = [num * (scale // row_n[j]) for j, num in enumerate(u_nums)]
-    v_hat = [num * (scale // row_n[j]) for j, num in enumerate(v_nums)]
-    return rows, u_hat, v_hat, u_den * v_den * scale * scale
+    v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums)]
+    return rows, u_nums, v_hat, u_den * v_den * scale
 
 
 def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> int:
@@ -88,8 +87,8 @@ def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fractio
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    rows, u_hat, v_hat, den = _scaled_setup(n, u_coeffs, v_coeffs, min(max_weight, n))
-    nums = kernel.combine_numerators(n, u_hat, v_hat, rows, min(max_weight, 2 * n))
+    rows, u_nums, v_hat, den = _scaled_setup(n, u_coeffs, v_coeffs, min(max_weight, n))
+    nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min(max_weight, 2 * n))
     return tuple(Fraction(s, den) for s in nums)
 
 
@@ -111,15 +110,15 @@ def combine_single_weight(
     """Coefficient of x^w of combine(...), without computing the other weights.
 
     Reads the component coefficients 0..min(w, n) only and costs O(n^2)
-    scalar operations for the one weight.
+    big-integer additions for the one weight.
     """
     n = _common_length(u_spectrum, v_spectrum)
     if not 0 <= w <= 2 * n:
         raise ValueError(f"weight {w} outside 0..{2 * n}")
-    rows, u_hat, v_hat, den = _scaled_setup(
+    rows, u_nums, v_hat, den = _scaled_setup(
         n, u_spectrum.coeffs, v_spectrum.coeffs, min(w, n)
     )
-    return Fraction(kernel.single_weight_numerator(n, u_hat, v_hat, rows, w), den)
+    return Fraction(kernel.single_weight_numerator(n, u_nums, v_hat, rows, w), den)
 
 
 def min_distance_combine(d_u: int, d_v: int) -> int:

@@ -97,6 +97,13 @@ class TestRm:
         monkeypatch.setenv("PLOTKIN_WEF_MAX_LENGTH", "twelve")
         assert run(capsys, "rm", "0", "3")[0] == 2
 
+    def test_depth_beyond_recursion_limit_exit_3(self, capsys):
+        code, out, err = run(capsys, "rm", "1", "3000", "--max-length", str(10**1000))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: too deep")
+        assert "Traceback" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "rm", "1", "3", "--format", "csv")
         assert out.splitlines() == ["weight,coefficient", "0,1", "4,14", "8,1"]
@@ -139,6 +146,18 @@ class TestCombine:
     def test_length_mismatch_exit_2(self, capsys, tmp_path, ex1_files):
         bad = write_json(tmp_path / "bad.json", {"n": 2, "coeffs": {"0": "1"}})
         assert run(capsys, "combine", ex1_files[0], bad)[0] == 2
+
+    def test_declared_length_guard_runs_before_parsing(self, capsys, tmp_path, monkeypatch):
+        big = write_json(tmp_path / "big.json", {"n": 2000000, "coeffs": {"1": "1"}})
+
+        def refuse(cls, obj):
+            raise AssertionError("enumerator built before the length guard")
+
+        monkeypatch.setattr(WeightEnumerator, "from_json_dict", classmethod(refuse))
+        code, out, err = run(capsys, "combine", big, big)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: length 4000000 exceeds the guard")
 
     def test_parse_error_exit_2(self, capsys, tmp_path, ex1_files):
         bad = tmp_path / "bad.json"
@@ -200,6 +219,15 @@ class TestOracle:
         )
         g1 = write_json(tmp_path / "g1.json", {"n": 8, "rows": []})
         assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive")[0] == 3
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
+    @pytest.mark.parametrize("n", [2**64, 10**30])
+    def test_huge_declared_length_exit_3(self, capsys, tmp_path, mode, n):
+        g = write_json(tmp_path / "g.json", {"n": n, "rows": []})
+        code, out, err = run(capsys, "oracle", g, g, "--mode", mode)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestBound:
