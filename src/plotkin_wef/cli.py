@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 
 from .bounds import ChannelPoint, truncated_union_bound
@@ -90,10 +91,6 @@ def _spectrum_obj(path: str):
     return obj
 
 
-def _load_spectrum(path: str) -> WeightEnumerator:
-    return WeightEnumerator.from_json_dict(_spectrum_obj(path))
-
-
 def _load_matrix(path: str) -> BinaryMatrix:
     return BinaryMatrix.from_json_dict(_load_json(path))
 
@@ -141,22 +138,22 @@ def _check_partial(partial: int, length: int) -> None:
         raise ValueError(f"--partial {partial} outside 0..{length}")
 
 
-def _cmd_rm(args) -> tuple[dict, list[str]]:
+def _cmd_rm(args) -> tuple[dict, Callable[[], list[str]]]:
     length = _tree_length(args.m, args.max_length)
     tree = rm_tree(args.r, args.m)
     echo = {"rm": {"r": args.r, "m": args.m}}
     if args.partial is not None:
         _check_partial(args.partial, length)
-        items = enumerate(ensemble_wef_prefix(tree, args.partial))
-        record = _record("rm", echo, length, tree.dimension, items, args.partial)
+        coeffs = ensemble_wef_prefix(tree, args.partial)
     else:
-        record = _record(
-            "rm", echo, length, tree.dimension, _full_items(ensemble_wef(tree)), None
-        )
-    return record, [_poly_line(record)]
+        coeffs = ensemble_wef(tree).coeffs
+    record = _record(
+        "rm", echo, length, tree.dimension, enumerate(coeffs), args.partial
+    )
+    return record, lambda: [_poly_line(length, coeffs)]
 
 
-def _cmd_tree(args) -> tuple[dict, list[str]]:
+def _cmd_tree(args) -> tuple[dict, Callable[[], list[str]]]:
     obj = _load_json(args.tree_file)
     _tree_length(tree_json_depth(obj), args.max_length)
     tree = tree_from_json_dict(obj)
@@ -169,23 +166,25 @@ def _cmd_tree(args) -> tuple[dict, list[str]]:
         _full_items(enum),
         None,
     )
-    lines = [_poly_line(record)]
-    if args.emit_generator:
-        gen = generator_matrix(tree)
+    gen = generator_matrix(tree) if args.emit_generator else None
+    if gen is not None:
         record["generator"] = gen.to_json_dict()
-        lines.extend(gen.to_strings())
-    return record, lines
+    return record, lambda: [format_poly(enum), *(gen.to_strings() if gen else ())]
 
 
-def _cmd_combine(args) -> tuple[dict, list[str]]:
+def _check_declared_length(obj, factor: int, max_length: int) -> None:
+    """Guard the length ``factor * n`` that a spectrum file declares, before
+    its n + 1 coefficients are built."""
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if is_int(n):
+        _check_length(factor * n, max_length)
+
+
+def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
     u_obj = _spectrum_obj(args.u_file)
     v_obj = _spectrum_obj(args.v_file)
-    # The guard runs on the declared lengths, before n + 1 coefficients
-    # of either input are built.
     for obj in (u_obj, v_obj):
-        n = obj.get("n") if isinstance(obj, dict) else None
-        if is_int(n):
-            _check_length(2 * n, args.max_length)
+        _check_declared_length(obj, 2, args.max_length)
     u_enum = WeightEnumerator.from_json_dict(u_obj)
     v_enum = WeightEnumerator.from_json_dict(v_obj)
     if u_enum.length != v_enum.length:
@@ -196,24 +195,21 @@ def _cmd_combine(args) -> tuple[dict, list[str]]:
     echo = {"u": u_enum.to_json_dict(), "v": v_enum.to_json_dict()}
     if args.partial is not None:
         _check_partial(args.partial, length)
-        items = enumerate(
-            combine_prefix(u_enum.length, u_enum.coeffs, v_enum.coeffs, args.partial)
+        coeffs = combine_prefix(
+            u_enum.length, u_enum.coeffs, v_enum.coeffs, args.partial
         )
-        record = _record("combine", echo, length, None, items, args.partial)
+        dimension = None
     else:
         out = combine(u_enum, v_enum)
-        record = _record(
-            "combine",
-            echo,
-            length,
-            _dimension_from_mass(out.total_mass()),
-            _full_items(out),
-            None,
-        )
-    return record, [_poly_line(record)]
+        coeffs = out.coeffs
+        dimension = _dimension_from_mass(out.total_mass())
+    record = _record(
+        "combine", echo, length, dimension, enumerate(coeffs), args.partial
+    )
+    return record, lambda: [_poly_line(length, coeffs)]
 
 
-def _cmd_oracle(args) -> tuple[dict, list[str]]:
+def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
     G0 = _load_matrix(args.g0_file)
     G1 = _load_matrix(args.g1_file)
     echo = {"g0": G0.to_json_dict(), "g1": G1.to_json_dict(), "mode": args.mode}
@@ -227,7 +223,7 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
             _full_items(enum),
             None,
         )
-        return record, [_poly_line(record)]
+        return record, lambda: [format_poly(enum)]
     echo["samples"] = args.samples
     echo["seed"] = args.seed
     enum, stderrs = ensemble_wef_montecarlo(G0, G1, args.samples, args.seed)
@@ -242,11 +238,13 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     record["stderr"] = {
         str(w): stderrs[w] for w, c in enumerate(enum.coeffs) if c or stderrs[w]
     }
-    return record, [_poly_line(record)]
+    return record, lambda: [format_poly(enum)]
 
 
-def _cmd_bound(args) -> tuple[dict, list[str]]:
-    enum = _load_spectrum(args.spectrum_file)
+def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
+    obj = _spectrum_obj(args.spectrum_file)
+    _check_declared_length(obj, 1, args.max_length)
+    enum = WeightEnumerator.from_json_dict(obj)
     channel = ChannelPoint(rate=_parse_rate(args.rate), ebn0_db=args.ebn0)
     value = truncated_union_bound(enum, args.truncate, channel)
     record = _record(
@@ -263,14 +261,14 @@ def _cmd_bound(args) -> tuple[dict, list[str]]:
         "truncate": args.truncate,
         "value": value,
     }
-    return record, [repr(value)]
+    return record, lambda: [repr(value)]
 
 
-def _poly_line(record: dict) -> str:
-    n = record["spectrum"]["n"]
-    coeffs = record["spectrum"]["coeffs"]
-    enum = WeightEnumerator.from_json_dict({"n": n, "coeffs": coeffs})
-    return format_poly(enum)
+def _poly_line(length: int, coeffs) -> str:
+    """The poly form of a length-``length`` spectrum given by its
+    coefficients 0..W (W <= length); the weights above W read as zero."""
+    padding = (Fraction(0),) * (length + 1 - len(coeffs))
+    return format_poly(WeightEnumerator(length, (*coeffs, *padding)))
 
 
 def _print_csv(record: dict, out) -> None:
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--rate", required=True, help="code rate, float or p/q")
     p_bound.add_argument("--ebn0", type=float, required=True, help="Eb/N0 in dB")
     p_bound.add_argument("--truncate", type=int, required=True, metavar="W")
-    add_common(p_bound, with_max_length=False)
+    add_common(p_bound)
     p_bound.set_defaults(handler=_cmd_bound)
 
     return parser
@@ -359,6 +357,7 @@ def main(argv=None) -> int:
         if getattr(args, "max_length", -1) is None:
             args.max_length = _max_length_default()
         record, human_lines = args.handler(args)
+        lines = human_lines() if args.format == "poly" else None
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
     elif args.format == "csv":
         _print_csv(record, sys.stdout)
     else:
-        for line in human_lines:
+        for line in lines:
             print(line)
     print(f"# elapsed {time.perf_counter() - started:.6f}s", file=sys.stderr)
     return 0

@@ -137,9 +137,9 @@ def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]
     """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree).
 
     Every node keeps only its weights <= max_weight, which is all its parent
-    needs (plotkin.combine_prefix), so a small ``max_weight`` costs O(W^3)
-    per distinct node whatever the length.  Structurally equal subtrees are
-    evaluated once per call.
+    needs (plotkin.combine_prefix), so a small ``max_weight`` costs O(W^2)
+    big-int products plus O(W^2) additions per distinct node, whatever the
+    length.  Structurally equal subtrees are evaluated once per call.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")

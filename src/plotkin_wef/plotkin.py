@@ -9,15 +9,19 @@ made for any specific draw.
 
 The evaluation takes u as integer numerators over its common denominator and
 pre-scales v by lcm of the row-n binomials, which folds the hypergeometric
-division by C(n, v-weight) into v; the kernel (a Horner evaluation per output
-weight, see kernel.py) then works purely on big integers, and one exact
-division per output weight closes the computation.  The per-weight sums are
-independent of each other, so results never depend on evaluation order.
+division by C(n, v-weight) into v; the kernel then works purely on big
+integers, and one exact division per output weight closes the computation.
+With m = (w - j)/2 the number of v-ones that land on u-zeros, the numerator
+of output weight w is sum_j u[j] C(n-j, m) A_j(m), where the binomial sums
+A_j(m) = sum_i C(j, i) v_hat[m+i] obey Pascal's rule in j (kernel.py): a
+full combine costs about n^2/2 big-int products and n^2/2 additions.
+Integer arithmetic is exact, so results never depend on evaluation order.
 
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
-``combine_prefix`` evaluates just those, and the full ``combine`` is its
-W = 2n case; truncation therefore closes under tree recursion
+``combine_prefix`` evaluates just those, in O(W^2) products and O(W^2)
+additions for W <= n, and the full ``combine`` is its W = 2n case;
+truncation therefore closes under tree recursion
 (codetree.ensemble_wef_prefix).
 """
 
@@ -109,8 +113,10 @@ def combine_single_weight(
 ) -> Fraction:
     """Coefficient of x^w of combine(...), without computing the other weights.
 
-    Reads the component coefficients 0..min(w, n) only and costs O(n^2)
-    big-integer additions for the one weight.
+    Reads the component coefficients 0..min(w, n) only.  With
+    t = min(w, 2n - w, n), the one weight costs about t^2/2 big-integer
+    additions (the binomial sums on the window the weight reads) and t/2
+    products.
     """
     n = _common_length(u_spectrum, v_spectrum)
     if not 0 <= w <= 2 * n:

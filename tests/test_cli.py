@@ -282,6 +282,32 @@ class TestBound:
             == 2
         )
 
+    def test_declared_length_guard_runs_before_parsing(self, capsys, tmp_path, monkeypatch):
+        big = write_json(tmp_path / "big.json", {"n": 2000000, "coeffs": {"1": "1"}})
+        bound = ("--rate", "1/2", "--ebn0", "3", "--truncate", "1")
+
+        def refuse(cls, obj):
+            raise AssertionError("enumerator built before the length guard")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(WeightEnumerator, "from_json_dict", classmethod(refuse))
+            code, out, err = run(capsys, "bound", big, *bound)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: length 2000000 exceeds the guard")
+
+    def test_max_length_flag_and_env(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "s.json", {"n": 32, "coeffs": {"0": "1", "32": "1"}})
+        bound = ("bound", path, "--rate", "1/2", "--ebn0", "3", "--truncate", "32")
+        assert run(capsys, *bound, "--max-length", "16")[0] == 3
+        assert run(capsys, *bound, "--max-length", "32")[0] == 0
+        monkeypatch.setenv("PLOTKIN_WEF_MAX_LENGTH", "16")
+        code, out, err = run(capsys, *bound)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: length 32 exceeds the guard (16)")
+        monkeypatch.setenv("PLOTKIN_WEF_MAX_LENGTH", "32")
+        assert run(capsys, *bound)[0] == 0
+
 
 def full_space_spectrum(n, weights):
     return {"n": n, "coeffs": {str(w): str(math.comb(n, w)) for w in weights}}

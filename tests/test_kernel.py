@@ -2,13 +2,15 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import literal_combine, random_spectrum
 from plotkin_wef import WeightEnumerator, combine, combine_prefix, combine_single_weight
-from plotkin_wef.combinatorics import shared_table
+from plotkin_wef.combinatorics import plotkin_coefficient, shared_table
 
 fractions = st.fractions(min_value=0, max_value=50, max_denominator=12)
 
@@ -123,3 +125,67 @@ def test_working_memory_is_linear_in_n():
     )
     # Measured at about 2.8 times the output on Python 3.11.
     assert peak < 6 * out_bytes
+
+
+@lru_cache(maxsize=None)
+def dense_pair_and_combine(n):
+    rng = random.Random(n)
+    u = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    v = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    return u, v, combine(u, v)
+
+
+def literal_weight(u, v, w):
+    """One output coefficient as the literal double sum of per-cell weights."""
+    n = u.length
+    return sum(
+        (
+            plotkin_coefficient(n, w, b, i) * v.coeffs[b] * u.coeffs[w - 2 * i]
+            for b in range(max(0, w - n), min(w, n) + 1)
+            for i in range(max(0, w - n), min(b, w - b) + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def moment(coeffs, power):
+    return sum((w**power * c for w, c in enumerate(coeffs)), Fraction(0))
+
+
+# Lengths around a power of two, where rows of the binomial table and the
+# scale lcm(C(n, 0..n)) change shape.
+LARGE = (255, 256, 257)
+
+
+@pytest.mark.parametrize("n", LARGE)
+def test_large_dense_combine_conserves_mass_and_first_moment(n):
+    """An output word has weight j + 2b - 2i with E[i] = j*b/n, so the first
+    moment of the output follows from the first two of each component."""
+    u, v, out = dense_pair_and_combine(n)
+    m0u, m1u = moment(u.coeffs, 0), moment(u.coeffs, 1)
+    m0v, m1v = moment(v.coeffs, 0), moment(v.coeffs, 1)
+    assert out.total_mass() == m0u * m0v
+    assert moment(out.coeffs, 1) == m1u * m0v + 2 * m0u * m1v - 2 * m1u * m1v / n
+
+
+@pytest.mark.parametrize("n", LARGE)
+def test_large_dense_combine_matches_literal_sum_at_sampled_weights(n):
+    u, v, out = dense_pair_and_combine(n)
+    for w in (1, 64, n - 1, 2 * n - 3):
+        assert out.coeffs[w] == literal_weight(u, v, w)
+
+
+@pytest.mark.parametrize("n", LARGE)
+def test_large_dense_single_weight_matches_full_combine(n):
+    u, v, out = dense_pair_and_combine(n)
+    for w in (0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n):
+        assert combine_single_weight(u, v, w) == out.coeffs[w]
+
+
+@pytest.mark.parametrize("n", LARGE)
+def test_large_dense_prefix_matches_full_combine_and_literal_sum(n):
+    u, v, out = dense_pair_and_combine(n)
+    prefix = combine_prefix(n, u.coeffs[:65], v.coeffs[:65], 64)
+    assert prefix == out.coeffs[:65]
+    for w in (0, 33, 63, 64):
+        assert prefix[w] == literal_weight(u, v, w)
