@@ -14,6 +14,7 @@ from .codetree import (
     CodeTree,
     Leaf,
     active_leaves,
+    dual_tree,
     ensemble_wef,
     ensemble_wef_prefix,
     generator_matrix,
@@ -32,6 +33,7 @@ from .oracle import (
     ensemble_wef_exhaustive,
     ensemble_wef_montecarlo,
     exact_wef_bruteforce,
+    macwilliams,
     uniform_permutation,
 )
 from .plotkin import combine, combine_prefix, combine_single_weight, min_distance_combine
@@ -56,6 +58,7 @@ __all__ = [
     "combine",
     "combine_prefix",
     "combine_single_weight",
+    "dual_tree",
     "ensemble_wef",
     "ensemble_wef_prefix",
     "ensemble_wef_exhaustive",
@@ -63,6 +66,7 @@ __all__ = [
     "exact_wef_bruteforce",
     "format_poly",
     "generator_matrix",
+    "macwilliams",
     "min_distance_combine",
     "parse_poly",
     "plotkin_coefficient",

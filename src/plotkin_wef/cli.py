@@ -7,13 +7,20 @@ invocations; wall-clock timing therefore goes to stderr.
 Exit codes: 0 success, 2 usage or parse problems, 3 resource budget exceeded.
 The default size guard (4096 coordinates) can be overridden per invocation
 with --max-length or globally with the PLOTKIN_WEF_MAX_LENGTH environment
-variable.
+variable.  combine, oracle and bound check the length n that each input file
+declares before they build its spectrum or matrix.
+
+The rm, tree and combine handlers take their spectra in integer form,
+``(den, nums)``, and reduce each nonzero coefficient to lowest terms only
+when it is written out; Fractions are built only for --format poly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -21,22 +28,23 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .bounds import ChannelPoint, truncated_union_bound
+
+# ensemble_wef, combine and combine_single_weight are not called here; they
+# stay importable from this module because perfbench's tracer looks them up
+# here and its self-test fails on a missing per-layer entry point.
 from .codetree import (
-    ensemble_wef,
-    ensemble_wef_prefix,
+    ensemble_wef,  # noqa: F401
+    ensemble_wef_int,
     generator_matrix,
     rm_tree,
     tree_from_json_dict,
     tree_json_depth,
     tree_to_json_dict,
 )
-from .enumerator import WeightEnumerator, format_poly, is_int
+from .enumerator import WeightEnumerator, common_denominator, format_poly, is_int
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
-# combine_single_weight is not called here any more; it stays importable from
-# this module because perfbench's tracer looks it up here and its self-test
-# fails on a missing per-layer entry point.
-from .plotkin import combine, combine_prefix, combine_single_weight  # noqa: F401
+from .plotkin import combine, combine_int, combine_single_weight  # noqa: F401
 
 DEFAULT_MAX_LENGTH = 4096
 MAX_LENGTH_ENV = "PLOTKIN_WEF_MAX_LENGTH"
@@ -91,39 +99,38 @@ def _spectrum_obj(path: str):
     return obj
 
 
-def _load_matrix(path: str) -> BinaryMatrix:
-    return BinaryMatrix.from_json_dict(_load_json(path))
-
-
-def _dimension_from_mass(mass: Fraction) -> int | None:
-    if mass.denominator != 1:
+def _dimension(den: int, nums) -> int | None:
+    """log2 of the mass sum(nums) / den when it is a power of two, else None."""
+    mass, rest = divmod(sum(nums), den)
+    if rest or mass <= 0 or mass & (mass - 1):
         return None
-    m = mass.numerator
-    if m > 0 and m & (m - 1) == 0:
-        return m.bit_length() - 1
-    return None
+    return mass.bit_length() - 1
 
 
-def _spectrum_json(length: int, items) -> dict:
-    return {"n": length, "coeffs": {str(w): str(c) for w, c in items if c}}
+def _spectrum_json(length: int, den: int, nums) -> dict:
+    """JSON form of the coefficients nums[w] / den; each nonzero one is
+    reduced to lowest terms here, with one gcd, and zeros are omitted."""
+    coeffs = {}
+    for w, num in enumerate(nums):
+        if num:
+            g = math.gcd(num, den)
+            coeffs[str(w)] = str(num // g) if g == den else f"{num // g}/{den // g}"
+    return {"n": length, "coeffs": coeffs}
 
 
-def _record(command: str, input_echo, length: int, dimension, spectrum_items, partial):
-    items = list(spectrum_items)
-    min_pos = next((w for w, c in items if w > 0 and c), None)
+def _record(command: str, input_echo, dimension, spectrum: dict, partial):
+    # Weight keys are in increasing order, so the first one past "0" is the
+    # smallest positive weight with a nonzero coefficient.
+    min_pos = next((int(w) for w in spectrum["coeffs"] if w != "0"), None)
     return {
         "command": command,
         "input": input_echo,
-        "length": length,
+        "length": spectrum["n"],
         "dimension": dimension,
         "min_positive_weight": min_pos,
         "partial": partial,
-        "spectrum": _spectrum_json(length, items),
+        "spectrum": spectrum,
     }
-
-
-def _full_items(enum: WeightEnumerator):
-    return list(enumerate(enum.coeffs))
 
 
 def _parse_rate(text: str) -> float:
@@ -142,39 +149,35 @@ def _cmd_rm(args) -> tuple[dict, Callable[[], list[str]]]:
     length = _tree_length(args.m, args.max_length)
     tree = rm_tree(args.r, args.m)
     echo = {"rm": {"r": args.r, "m": args.m}}
+    max_weight = length
     if args.partial is not None:
         _check_partial(args.partial, length)
-        coeffs = ensemble_wef_prefix(tree, args.partial)
-    else:
-        coeffs = ensemble_wef(tree).coeffs
-    record = _record(
-        "rm", echo, length, tree.dimension, enumerate(coeffs), args.partial
-    )
-    return record, lambda: [_poly_line(length, coeffs)]
+        max_weight = args.partial
+    den, nums = ensemble_wef_int(tree, max_weight)
+    spectrum = _spectrum_json(length, den, nums)
+    record = _record("rm", echo, tree.dimension, spectrum, args.partial)
+    return record, lambda: [_poly_line(length, den, nums)]
 
 
 def _cmd_tree(args) -> tuple[dict, Callable[[], list[str]]]:
     obj = _load_json(args.tree_file)
     _tree_length(tree_json_depth(obj), args.max_length)
     tree = tree_from_json_dict(obj)
-    enum = ensemble_wef(tree)
-    record = _record(
-        "tree",
-        tree_to_json_dict(tree),
-        tree.length,
-        tree.dimension,
-        _full_items(enum),
-        None,
-    )
+    den, nums = ensemble_wef_int(tree, tree.length)
+    spectrum = _spectrum_json(tree.length, den, nums)
+    record = _record("tree", tree_to_json_dict(tree), tree.dimension, spectrum, None)
     gen = generator_matrix(tree) if args.emit_generator else None
     if gen is not None:
         record["generator"] = gen.to_json_dict()
-    return record, lambda: [format_poly(enum), *(gen.to_strings() if gen else ())]
+    return record, lambda: [
+        _poly_line(tree.length, den, nums),
+        *(gen.to_strings() if gen else ()),
+    ]
 
 
 def _check_declared_length(obj, factor: int, max_length: int) -> None:
-    """Guard the length ``factor * n`` that a spectrum file declares, before
-    its n + 1 coefficients are built."""
+    """Guard the length ``factor * n`` that a spectrum or matrix file
+    declares, before its coefficients or rows are built."""
     n = obj.get("n") if isinstance(obj, dict) else None
     if is_int(n):
         _check_length(factor * n, max_length)
@@ -191,50 +194,50 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
         raise ValueError(
             f"component lengths differ: {u_enum.length} vs {v_enum.length}"
         )
-    length = 2 * u_enum.length
+    n = u_enum.length
+    length = 2 * n
     echo = {"u": u_enum.to_json_dict(), "v": v_enum.to_json_dict()}
+    max_weight = length
     if args.partial is not None:
         _check_partial(args.partial, length)
-        coeffs = combine_prefix(
-            u_enum.length, u_enum.coeffs, v_enum.coeffs, args.partial
-        )
-        dimension = None
-    else:
-        out = combine(u_enum, v_enum)
-        coeffs = out.coeffs
-        dimension = _dimension_from_mass(out.total_mass())
-    record = _record(
-        "combine", echo, length, dimension, enumerate(coeffs), args.partial
+        max_weight = args.partial
+    # The common denominators of the prefixes the combine reads, not of the
+    # whole spectra: the kernel then gets the smallest integers.
+    k = min(max_weight, n) + 1
+    den, nums = combine_int(
+        n,
+        common_denominator(u_enum.coeffs[:k]),
+        common_denominator(v_enum.coeffs[:k]),
+        max_weight,
     )
-    return record, lambda: [_poly_line(length, coeffs)]
+    dimension = _dimension(den, nums) if args.partial is None else None
+    spectrum = _spectrum_json(length, den, nums)
+    record = _record("combine", echo, dimension, spectrum, args.partial)
+    return record, lambda: [_poly_line(length, den, nums)]
+
+
+def _enum_record(command: str, input_echo, enum: WeightEnumerator, spectrum: dict) -> dict:
+    """Record of an enumerator whose JSON form ``spectrum`` is already built."""
+    dimension = _dimension(*enum.common_denominator_form())
+    return _record(command, input_echo, dimension, spectrum, None)
 
 
 def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
-    G0 = _load_matrix(args.g0_file)
-    G1 = _load_matrix(args.g1_file)
+    g0_obj = _load_json(args.g0_file)
+    g1_obj = _load_json(args.g1_file)
+    for obj in (g0_obj, g1_obj):
+        _check_declared_length(obj, 2, args.max_length)
+    G0 = BinaryMatrix.from_json_dict(g0_obj)
+    G1 = BinaryMatrix.from_json_dict(g1_obj)
     echo = {"g0": G0.to_json_dict(), "g1": G1.to_json_dict(), "mode": args.mode}
     if args.mode == "exhaustive":
         enum = ensemble_wef_exhaustive(G0, G1)
-        record = _record(
-            "oracle",
-            echo,
-            enum.length,
-            _dimension_from_mass(enum.total_mass()),
-            _full_items(enum),
-            None,
-        )
+        record = _enum_record("oracle", echo, enum, enum.to_json_dict())
         return record, lambda: [format_poly(enum)]
     echo["samples"] = args.samples
     echo["seed"] = args.seed
     enum, stderrs = ensemble_wef_montecarlo(G0, G1, args.samples, args.seed)
-    record = _record(
-        "oracle",
-        echo,
-        enum.length,
-        _dimension_from_mass(enum.total_mass()),
-        _full_items(enum),
-        None,
-    )
+    record = _enum_record("oracle", echo, enum, enum.to_json_dict())
     record["stderr"] = {
         str(w): stderrs[w] for w, c in enumerate(enum.coeffs) if c or stderrs[w]
     }
@@ -247,14 +250,8 @@ def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
     enum = WeightEnumerator.from_json_dict(obj)
     channel = ChannelPoint(rate=_parse_rate(args.rate), ebn0_db=args.ebn0)
     value = truncated_union_bound(enum, args.truncate, channel)
-    record = _record(
-        "bound",
-        {"spectrum": enum.to_json_dict()},
-        enum.length,
-        _dimension_from_mass(enum.total_mass()),
-        _full_items(enum),
-        None,
-    )
+    spectrum = enum.to_json_dict()
+    record = _enum_record("bound", {"spectrum": spectrum}, enum, spectrum)
     record["bound"] = {
         "rate": channel.rate,
         "ebn0_db": channel.ebn0_db,
@@ -264,11 +261,13 @@ def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
     return record, lambda: [repr(value)]
 
 
-def _poly_line(length: int, coeffs) -> str:
-    """The poly form of a length-``length`` spectrum given by its
-    coefficients 0..W (W <= length); the weights above W read as zero."""
-    padding = (Fraction(0),) * (length + 1 - len(coeffs))
-    return format_poly(WeightEnumerator(length, (*coeffs, *padding)))
+def _poly_line(length: int, den: int, nums) -> str:
+    """The poly form of a length-``length`` spectrum given by the
+    coefficients nums[0..W] / den (W <= length); the weights above W read
+    as zero."""
+    coeffs = [Fraction(num, den) for num in nums]
+    coeffs += [Fraction(0)] * (length + 1 - len(nums))
+    return format_poly(WeightEnumerator(length, tuple(coeffs)))
 
 
 def _print_csv(record: dict, out) -> None:
@@ -290,20 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_max_length=True):
+    def add_common(p):
         p.add_argument(
             "--format",
             choices=("poly", "json", "csv"),
             default="poly",
             help="output format (default: poly)",
         )
-        if with_max_length:
-            p.add_argument(
-                "--max-length",
-                type=int,
-                default=None,
-                help=f"size guard (default {DEFAULT_MAX_LENGTH}, env {MAX_LENGTH_ENV})",
-            )
+        # None here; main() reads the environment default on every call.
+        p.add_argument(
+            "--max-length",
+            type=int,
+            default=None,
+            help=f"size guard (default {DEFAULT_MAX_LENGTH}, env {MAX_LENGTH_ENV})",
+        )
 
     p_rm = sub.add_parser("rm", help="spectrum of the order-r depth-m tree ensemble")
     p_rm.add_argument("r", type=int)
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="exhaustive")
     p_or.add_argument("--samples", type=int, default=1000)
     p_or.add_argument("--seed", type=int, default=0)
-    add_common(p_or, with_max_length=False)
+    add_common(p_or)
     p_or.set_defaults(handler=_cmd_oracle)
 
     p_bound = sub.add_parser("bound", help="truncated union bound from a spectrum")
@@ -349,12 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about a millisecond; parse_args leaves it
+# unchanged, so one per process serves every call of main().
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if getattr(args, "max_length", -1) is None:
+        if args.max_length is None:
             args.max_length = _max_length_default()
         record, human_lines = args.handler(args)
         lines = human_lines() if args.format == "poly" else None
@@ -365,8 +368,8 @@ def main(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 3
     except OverflowError as exc:
-        # A size no list index can hold, e.g. a matrix declaring n = 2**64
-        # for the Monte Carlo oracle, which has no length guard.
+        # A size no list index can hold, e.g. a guard raised to 2**65 and a
+        # matrix declaring n = 2**64 for the Monte Carlo oracle.
         print(f"error: size out of range ({exc})", file=sys.stderr)
         return 3
     except RecursionError:

@@ -9,6 +9,13 @@ Leaf indexing convention: leaves are numbered 0..2^m-1 left to right, i.e. the
 bit of the index at depth d (most significant bit = the root split) is 0 on
 the left/u side and 1 on the right/v side.  In-order traversal therefore
 visits indices in increasing order.
+
+Trees are immutable values whose identity is cheap: a Branch computes its
+hash from its children's once, at construction, and ``rm_tree`` and
+``tree_from_active_set`` build each distinct subtree once and share it, so
+the per-call memo of ``ensemble_wef_int`` finds a repeated subtree by
+identity.  That recursion carries every spectrum as ``(den, nums)`` (see
+plotkin.py); ``ensemble_wef_prefix`` and ``ensemble_wef`` wrap it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import lru_cache
 
 from .enumerator import WeightEnumerator, is_int
 from .oracle import BinaryMatrix
-from .plotkin import combine_prefix
+from .plotkin import combine_int
 
 
 class CodeTree:
@@ -49,23 +56,35 @@ class Leaf(CodeTree):
 
 @dataclass(frozen=True)
 class Branch(CodeTree):
+    """Internal node; its hash, length and dimension are computed once, at
+    construction, from the children's, so none of them walks the subtree."""
+
     left: CodeTree
     right: CodeTree
 
     def __post_init__(self):
-        if self.left.length != self.right.length:
+        length = self.left.length
+        if length != self.right.length:
             raise ValueError(
                 f"children have unequal lengths:"
-                f" {self.left.length} vs {self.right.length}"
+                f" {length} vs {self.right.length}"
             )
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(self, "_length", 2 * length)
+        object.__setattr__(
+            self, "_dimension", self.left.dimension + self.right.dimension
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def length(self) -> int:
-        return 2 * self.left.length
+        return self._length
 
     @property
     def dimension(self) -> int:
-        return self.left.dimension + self.right.dimension
+        return self._dimension
 
 
 def rm_tree(r: int, m: int) -> CodeTree:
@@ -100,11 +119,20 @@ def tree_from_active_set(m: int, active) -> CodeTree:
             raise ValueError(f"leaf index {i!r} outside 0..{limit - 1}")
         active_set.add(i)
 
+    leaves = (Leaf(False), Leaf(True))
+    # Children are interned before their parent, so equal subtrees are one
+    # object and the (left, right) key hashes and compares in O(1).
+    interned: dict[tuple[CodeTree, CodeTree], Branch] = {}
+
     def build(depth: int, base: int) -> CodeTree:
         if depth == 0:
-            return Leaf(base in active_set)
+            return leaves[base in active_set]
         half = 1 << (depth - 1)
-        return Branch(build(depth - 1, base), build(depth - 1, base + half))
+        key = (build(depth - 1, base), build(depth - 1, base + half))
+        node = interned.get(key)
+        if node is None:
+            node = interned[key] = Branch(*key)
+        return node
 
     return build(m, 0)
 
@@ -129,34 +157,39 @@ def depth_of(tree: CodeTree) -> int:
     return tree.length.bit_length() - 1
 
 
-_LEAF_FROZEN = (Fraction(1), Fraction(0))
-_LEAF_ACTIVE = (Fraction(1), Fraction(1))
-
-
-def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]:
-    """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree).
+def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
+    """Integer form ``(den, nums)`` of ensemble_wef_prefix(tree, max_weight):
+    coefficient w is nums[w] / den, over the least common denominator.
 
     Every node keeps only its weights <= max_weight, which is all its parent
-    needs (plotkin.combine_prefix), so a small ``max_weight`` costs O(W^2)
+    needs (plotkin.combine_int), so a small ``max_weight`` costs O(W^2)
     big-int products plus O(W^2) additions per distinct node, whatever the
-    length.  Structurally equal subtrees are evaluated once per call.
+    length.  Structurally equal subtrees are evaluated once per call; an
+    interned subtree is found by identity.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    cache: dict[CodeTree, tuple[Fraction, ...]] = {}
+    cache: dict[CodeTree, tuple[int, list[int]]] = {}
 
-    def wef(t: CodeTree) -> tuple[Fraction, ...]:
+    def wef(t: CodeTree) -> tuple[int, list[int]]:
         got = cache.get(t)
         if got is not None:
             return got
         if isinstance(t, Leaf):
-            out = (_LEAF_ACTIVE if t.active else _LEAF_FROZEN)[: max_weight + 1]
+            out = (1, [1, int(t.active)][: max_weight + 1])
         else:
-            out = combine_prefix(t.left.length, wef(t.left), wef(t.right), max_weight)
+            out = combine_int(t.left.length, wef(t.left), wef(t.right), max_weight)
         cache[t] = out
         return out
 
     return wef(tree)
+
+
+def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree),
+    at the cost given in ensemble_wef_int."""
+    den, nums = ensemble_wef_int(tree, max_weight)
+    return tuple(Fraction(num, den) for num in nums)
 
 
 def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
@@ -167,6 +200,31 @@ def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
     Structurally equal subtrees are evaluated once per call.
     """
     return WeightEnumerator(tree.length, ensemble_wef_prefix(tree, tree.length))
+
+
+def dual_tree(tree: CodeTree) -> CodeTree:
+    """The tree of the dual ensemble: leaf 2^m-1-i is active iff leaf i of
+    ``tree`` is frozen.
+
+    The dual of {(u + v*perm, v)} is, with its halves swapped, the same
+    construction with C_v's dual supplying u and C_u's dual supplying v, so
+    MacWilliams(ensemble_wef(tree)) == ensemble_wef(dual_tree(tree))
+    (oracle.macwilliams); dual_tree(rm_tree(r, m)) == rm_tree(m-r-1, m).
+    Shared subtrees stay shared.
+    """
+    dual: dict[CodeTree, CodeTree] = {}
+
+    def flip(t: CodeTree) -> CodeTree:
+        got = dual.get(t)
+        if got is None:
+            if isinstance(t, Leaf):
+                got = Leaf(not t.active)
+            else:
+                got = Branch(flip(t.right), flip(t.left))
+            dual[t] = got
+        return got
+
+    return flip(tree)
 
 
 def generator_matrix(tree: CodeTree) -> BinaryMatrix:

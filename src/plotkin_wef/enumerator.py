@@ -42,9 +42,7 @@ def _as_fraction(value) -> Fraction:
 
 def common_denominator(coeffs) -> tuple[int, list[int]]:
     """Return (den, nums) with coeffs[j] == nums[j] / den exactly, den minimal."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*[c.denominator for c in coeffs])
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     return den, nums
 
@@ -77,7 +75,8 @@ class WeightEnumerator:
 
     def total_mass(self) -> Fraction:
         """Sum of all coefficients: the (expected) number of codewords."""
-        return sum(self.coeffs, Fraction(0))
+        den, nums = common_denominator(self.coeffs)
+        return Fraction(sum(nums), den)
 
     def min_positive_weight(self) -> int | None:
         """Smallest w > 0 with a nonzero coefficient, or None if there is none."""

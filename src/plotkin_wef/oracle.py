@@ -4,6 +4,9 @@ Codewords are bit-packed integers: bit j (``1 << j``) is coordinate j, which
 corresponds to the leftmost character of the JSON bit-string form.  Row spaces
 are walked in Gray-code order so each step is one XOR and one popcount.
 
+``macwilliams`` is an oracle of another kind: it checks a whole spectrum
+against the spectrum of the dual ensemble (codetree.dual_tree), at any length.
+
 Reproducibility: the sampled-permutation routines draw from
 ``random.Random(seed)`` (the stdlib Mersenne Twister) through an explicit
 Fisher-Yates loop, so a given seed yields the same permutation stream on every
@@ -18,9 +21,10 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .enumerator import WeightEnumerator, is_int
+from .enumerator import WeightEnumerator, common_denominator, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
 BRUTE_FORCE_MAX_DIMENSION = 24
@@ -285,3 +289,35 @@ def ensemble_wef_montecarlo(
             for s, sq in zip(sums, sums_sq)
         )
     return MonteCarloEstimate(WeightEnumerator(2 * n, means), stderrs)
+
+
+def _taylor_shift(coeffs: list[int], step) -> list[int]:
+    """Coefficients of P(z + 1) (``step`` = add) or P(z - 1) (``step`` = sub)
+    by Horner's rule: multiplying by (z +- 1) is one map over the partial
+    result, so the shift costs about N^2/2 big-integer additions."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = [step(c, out[0]), *map(step, out, out[1:]), out[-1]]
+    return out
+
+
+def macwilliams(coeffs) -> tuple[Fraction, ...]:
+    """MacWilliams transform of the length-N spectrum A_0..A_N:
+    B(y) = sum_w A_w (1 - y)^w (1 + y)^(N - w) / sum_w A_w.
+
+    For a linear code this is the spectrum of its dual.  The transform is
+    linear and normalised by the mass, so it applies to ensemble averages
+    and to any rational sequence with a nonzero sum; the result may then
+    have negative entries, hence plain Fractions rather than a
+    WeightEnumerator.  With P(y) = sum_w A_w y^w, the numerator is
+    (1 + y)^N P(-1 + 2/(1 + y)): a Taylor shift by -1, the coefficient of
+    y^w scaled by 2^w and the order reversed, then a Taylor shift by +1,
+    all on integer numerators; O(N^2) big-integer additions.
+    """
+    den, nums = common_denominator(coeffs)
+    mass = sum(nums)
+    if not mass:
+        raise ValueError("the MacWilliams transform needs a nonzero sum of coefficients")
+    shifted = _taylor_shift(nums, sub)
+    scaled = [c << w for w, c in enumerate(shifted)]
+    return tuple(Fraction(c, mass) for c in _taylor_shift(scaled[::-1], add))

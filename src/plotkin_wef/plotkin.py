@@ -17,12 +17,18 @@ A_j(m) = sum_i C(j, i) v_hat[m+i] obey Pascal's rule in j (kernel.py): a
 full combine costs about n^2/2 big-int products and n^2/2 additions.
 Integer arithmetic is exact, so results never depend on evaluation order.
 
+Spectra travel in integer form: a ``(den, nums)`` pair, coefficient j being
+nums[j] / den.  ``combine_int`` takes and returns that form, reduced by one
+gcd to the least common denominator, so a tree recursion
+(codetree.ensemble_wef_int) and the CLI never build a Fraction per
+coefficient; ``combine``, ``combine_prefix`` and ``combine_single_weight``
+are Fraction wrappers around it for the public API.
+
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
 ``combine_prefix`` evaluates just those, in O(W^2) products and O(W^2)
 additions for W <= n, and the full ``combine`` is its W = 2n case;
-truncation therefore closes under tree recursion
-(codetree.ensemble_wef_prefix).
+truncation therefore closes under tree recursion.
 """
 
 from __future__ import annotations
@@ -52,33 +58,52 @@ def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
     return rows
 
 
-def _scaled_setup(n: int, u_coeffs, v_coeffs, k: int):
-    """Kernel inputs for the output weights <= W, given k = min(W, n).
-
-    Reads the coefficient prefixes 0..k only.  u enters as its integer
-    numerators over the common denominator u_den; ``scale`` =
-    lcm(C(n, 0..k)) makes every v_hat[b] = v_num[b] * scale / C(n, b) an
-    integer.  The closing denominator is u_den * v_den * scale.
-    """
-    if n < 1:
-        raise ValueError("component length must be >= 1")
-    if len(u_coeffs) <= k or len(v_coeffs) <= k:
-        raise ValueError(f"component spectra need coefficients 0..{k}")
-    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
-    row_n = rows[n]
-    scale = math.lcm(*row_n[: k + 1])
-    u_den, u_nums = common_denominator(u_coeffs[: k + 1])
-    v_den, v_nums = common_denominator(v_coeffs[: k + 1])
-    v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums)]
-    return rows, u_nums, v_hat, u_den * v_den * scale
-
-
 def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> int:
     if v_spectrum.length != u_spectrum.length:
         raise ValueError(
             f"component lengths differ: {u_spectrum.length} vs {v_spectrum.length}"
         )
     return u_spectrum.length
+
+
+def combine_int(n: int, u, v, max_weight: int, single_weight: bool = False):
+    """Integer form of the combine: ``(den, nums)`` in, ``(den, nums)`` out.
+
+    ``u`` and ``v`` are length-n spectra as ``(den, nums)`` pairs, coefficient
+    j being nums[j] / den; only nums[0..min(max_weight, n)] are read.  The
+    result holds the coefficients of x^0..x^min(max_weight, 2n), or with
+    ``single_weight`` only that of x^max_weight, over the least common
+    denominator: ``den`` is the lcm of the reduced coefficient denominators,
+    which is what ``enumerator.common_denominator`` gives, so a tree
+    recursion passes the kernel the same integers at every node as a
+    recursion over reduced fractions would.
+
+    u enters as its integer numerators; ``scale`` = lcm(C(n, 0..k)) makes
+    every v_hat[b] = v_num[b] * scale / C(n, b) an integer, and the closing
+    denominator is u_den * v_den * scale before the gcd reduction.
+    """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    if n < 1:
+        raise ValueError("component length must be >= 1")
+    (u_den, u_nums), (v_den, v_nums) = u, v
+    k = min(max_weight, n)
+    if len(u_nums) <= k or len(v_nums) <= k:
+        raise ValueError(f"component spectra need coefficients 0..{k}")
+    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
+    row_n = rows[n]
+    scale = math.lcm(*row_n[: k + 1])
+    v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums[: k + 1])]
+    u_nums = u_nums[: k + 1]
+    if single_weight:
+        nums = [kernel.single_weight_numerator(n, u_nums, v_hat, rows, max_weight)]
+    else:
+        nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min(max_weight, 2 * n))
+    den = u_den * v_den * scale
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, [num // g for num in nums]
 
 
 def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fraction, ...]:
@@ -89,11 +114,11 @@ def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fractio
     so prefixes of that length suffice.  One kernel call evaluates every
     requested weight.
     """
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    rows, u_nums, v_hat, den = _scaled_setup(n, u_coeffs, v_coeffs, min(max_weight, n))
-    nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min(max_weight, 2 * n))
-    return tuple(Fraction(s, den) for s in nums)
+    k = min(max_weight, n) + 1
+    den, nums = combine_int(
+        n, common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k]), max_weight
+    )
+    return tuple(Fraction(num, den) for num in nums)
 
 
 def combine(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> WeightEnumerator:
@@ -121,10 +146,15 @@ def combine_single_weight(
     n = _common_length(u_spectrum, v_spectrum)
     if not 0 <= w <= 2 * n:
         raise ValueError(f"weight {w} outside 0..{2 * n}")
-    rows, u_nums, v_hat, den = _scaled_setup(
-        n, u_spectrum.coeffs, v_spectrum.coeffs, min(w, n)
+    k = min(w, n) + 1
+    den, (num,) = combine_int(
+        n,
+        common_denominator(u_spectrum.coeffs[:k]),
+        common_denominator(v_spectrum.coeffs[:k]),
+        w,
+        single_weight=True,
     )
-    return Fraction(kernel.single_weight_numerator(n, u_nums, v_hat, rows, w), den)
+    return Fraction(num, den)
 
 
 def min_distance_combine(d_u: int, d_v: int) -> int:

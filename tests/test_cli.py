@@ -3,7 +3,13 @@ import math
 
 import pytest
 
-from plotkin_wef import WeightEnumerator, combine, parse_poly, truncated_union_bound
+from plotkin_wef import (
+    BinaryMatrix,
+    WeightEnumerator,
+    combine,
+    parse_poly,
+    truncated_union_bound,
+)
 from plotkin_wef.bounds import ChannelPoint
 from plotkin_wef.cli import main
 
@@ -219,6 +225,37 @@ class TestOracle:
         )
         g1 = write_json(tmp_path / "g1.json", {"n": 8, "rows": []})
         assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive")[0] == 3
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
+    def test_declared_length_guard_runs_before_building(
+        self, capsys, tmp_path, monkeypatch, mode
+    ):
+        # 27 bytes that once made the Monte Carlo oracle sample permutations
+        # of 2 * 10^7 coordinates.
+        g = write_json(tmp_path / "g.json", {"n": 20000000, "rows": []})
+
+        def refuse(cls, obj):
+            raise AssertionError("matrix built before the length guard")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(BinaryMatrix, "from_json_dict", classmethod(refuse))
+            code, out, err = run(capsys, "oracle", g, g, "--mode", mode)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: length 40000000 exceeds the guard (4096)")
+
+    def test_max_length_flag_and_env(self, capsys, tmp_path, monkeypatch):
+        g0 = write_json(tmp_path / "g0.json", {"n": 3, "rows": ["111"]})
+        g1 = write_json(tmp_path / "g1.json", {"n": 3, "rows": ["110"]})
+        oracle = ("oracle", g0, g1, "--mode", "montecarlo", "--samples", "5")
+        assert run(capsys, *oracle, "--max-length", "5")[0] == 3
+        assert run(capsys, *oracle, "--max-length", "6")[0] == 0
+        monkeypatch.setenv("PLOTKIN_WEF_MAX_LENGTH", "5")
+        code, out, err = run(capsys, *oracle)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: length 6 exceeds the guard (5)")
+        monkeypatch.setenv("PLOTKIN_WEF_MAX_LENGTH", "6")
+        assert run(capsys, *oracle)[0] == 0
 
     @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
     @pytest.mark.parametrize("n", [2**64, 10**30])

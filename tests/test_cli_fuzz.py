@@ -64,7 +64,10 @@ trees = st.fixed_dictionaries(
 )
 matrices = st.fixed_dictionaries(
     {
-        "n": st.integers(-2, 6) | st.sampled_from([2**64, 10**30]) | json_scalars,
+        # 2n around the fuzz guard of 32 and its limits, and far beyond it.
+        "n": st.integers(-2, 6)
+        | st.sampled_from([15, 16, 17, 32, 33, 2**64, 10**30])
+        | json_scalars,
         "rows": st.lists(st.text(alphabet="01x", max_size=7) | json_scalars, max_size=3),
     }
 )
@@ -157,7 +160,7 @@ def test_combine(u, v, flags, common):
     mode=st.sampled_from(["exhaustive", "montecarlo", "other"]),
     samples=st.integers(-3, 20) | big_ints.filter(lambda s: s <= 0),
     seed=big_ints,
-    common=formats,
+    common=guarded,
 )
 def test_oracle(g0, g1, mode, samples, seed, common):
     with tempfile.TemporaryDirectory() as tmp:

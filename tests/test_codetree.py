@@ -1,13 +1,17 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from plotkin_wef import codetree
 from plotkin_wef import (
     Branch,
     Leaf,
     WeightEnumerator,
     active_leaves,
     ensemble_wef,
+    ensemble_wef_prefix,
     exact_wef_bruteforce,
     generator_matrix,
     parse_poly,
@@ -162,3 +166,75 @@ def test_tree_json_forms():
     ]:
         with pytest.raises(ValueError):
             tree_from_json_dict(bad)
+
+
+def _subtrees(tree):
+    """Every subtree occurrence, with repeats, as (leaf range, node)."""
+    out = []
+
+    def walk(t, base):
+        out.append(((base, t.length), t))
+        if isinstance(t, Branch):
+            walk(t.left, base)
+            walk(t.right, base + t.left.length)
+
+    walk(tree, 0)
+    return out
+
+
+def test_tree_from_active_set_shares_equal_subtrees():
+    rng = random.Random(99)
+    for _ in range(20):
+        m = rng.randint(0, 7)
+        density = rng.random()
+        tree = tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < density])
+        by_value = {}
+        for _, node in _subtrees(tree):
+            key = (node.length, active_leaves(node))
+            assert by_value.setdefault(key, node) is node
+
+
+def test_separately_built_trees_compare_and_hash_equal():
+    rng = random.Random(5)
+    for _ in range(10):
+        m = rng.randint(0, 6)
+        active = [i for i in range(1 << m) if rng.random() < 0.5]
+        a = tree_from_active_set(m, active)
+        b = tree_from_active_set(m, list(reversed(active)))
+        assert a == b and hash(a) == hash(b)
+        assert {a: m}[b] == m
+    by_hand = Branch(
+        Branch(Leaf(False), Leaf(False)), Branch(Leaf(False), Leaf(True))
+    )
+    assert by_hand is not rm_tree(0, 2)
+    assert by_hand == rm_tree(0, 2) and hash(by_hand) == hash(rm_tree(0, 2))
+    assert by_hand != rm_tree(1, 2)
+
+
+def test_integer_recursion_keeps_least_common_denominators(monkeypatch):
+    # Outputs stay right without the gcd reduction, but the denominators,
+    # and with them every integer the kernel sees, grow at each level.
+    seen = []
+    original = codetree.combine_int
+
+    def recording(*args):
+        out = original(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(codetree, "combine_int", recording)
+    rng = random.Random(31)
+    trees = [rm_tree(r, m) for m in range(1, 8) for r in range(m)]
+    for _ in range(10):
+        m = rng.randint(1, 7)
+        trees.append(tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < 0.6]))
+    for tree in trees:
+        for max_weight in (2, tree.length // 3, tree.length):
+            den, nums = codetree.ensemble_wef_int(tree, max_weight)
+            assert ensemble_wef_prefix(tree, max_weight) == tuple(
+                Fraction(num, den) for num in nums
+            )
+    assert len(seen) > 500
+    assert any(den > 1 for den, _ in seen)
+    for den, nums in seen:
+        assert den == math.lcm(*(Fraction(num, den).denominator for num in nums))
