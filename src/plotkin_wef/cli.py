@@ -99,9 +99,9 @@ def _spectrum_obj(path: str):
     return obj
 
 
-def _dimension(den: int, nums) -> int | None:
-    """log2 of the mass sum(nums) / den when it is a power of two, else None."""
-    mass, rest = divmod(sum(nums), den)
+def _dimension(total: int, den: int) -> int | None:
+    """log2 of the mass total / den when it is a power of two, else None."""
+    mass, rest = divmod(total, den)
     if rest or mass <= 0 or mass & (mass - 1):
         return None
     return mass.bit_length() - 1
@@ -210,7 +210,7 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
         common_denominator(v_enum.coeffs[:k]),
         max_weight,
     )
-    dimension = _dimension(den, nums) if args.partial is None else None
+    dimension = _dimension(sum(nums), den) if args.partial is None else None
     spectrum = _spectrum_json(length, den, nums)
     record = _record("combine", echo, dimension, spectrum, args.partial)
     return record, lambda: [_poly_line(length, den, nums)]
@@ -218,7 +218,8 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
 
 def _enum_record(command: str, input_echo, enum: WeightEnumerator, spectrum: dict) -> dict:
     """Record of an enumerator whose JSON form ``spectrum`` is already built."""
-    dimension = _dimension(*enum.common_denominator_form())
+    mass = enum.total_mass()
+    dimension = _dimension(mass.numerator, mass.denominator)
     return _record(command, input_echo, dimension, spectrum, None)
 
 

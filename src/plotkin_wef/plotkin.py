@@ -21,8 +21,9 @@ Spectra travel in integer form: a ``(den, nums)`` pair, coefficient j being
 nums[j] / den.  ``combine_int`` takes and returns that form, reduced by one
 gcd to the least common denominator, so a tree recursion
 (codetree.ensemble_wef_int) and the CLI never build a Fraction per
-coefficient; ``combine``, ``combine_prefix`` and ``combine_single_weight``
-are Fraction wrappers around it for the public API.
+coefficient; ``combine`` and ``combine_prefix`` are Fraction wrappers
+around it for the public API, and ``combine_single_weight`` shares its
+setup step.
 
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
@@ -66,40 +67,41 @@ def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -
     return u_spectrum.length
 
 
-def combine_int(n: int, u, v, max_weight: int, single_weight: bool = False):
-    """Integer form of the combine: ``(den, nums)`` in, ``(den, nums)`` out.
-
-    ``u`` and ``v`` are length-n spectra as ``(den, nums)`` pairs, coefficient
-    j being nums[j] / den; only nums[0..min(max_weight, n)] are read.  The
-    result holds the coefficients of x^0..x^min(max_weight, 2n), or with
-    ``single_weight`` only that of x^max_weight, over the least common
-    denominator: ``den`` is the lcm of the reduced coefficient denominators,
-    which is what ``enumerator.common_denominator`` gives, so a tree
-    recursion passes the kernel the same integers at every node as a
-    recursion over reduced fractions would.
+def _integer_setup(n: int, u, v, k: int):
+    """Kernel inputs for the component weights 0..k of ``(den, nums)`` pairs
+    u and v: (u_nums, v_hat, rows, den), den being the closing denominator.
 
     u enters as its integer numerators; ``scale`` = lcm(C(n, 0..k)) makes
     every v_hat[b] = v_num[b] * scale / C(n, b) an integer, and the closing
-    denominator is u_den * v_den * scale before the gcd reduction.
+    denominator is u_den * v_den * scale.
     """
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     if n < 1:
         raise ValueError("component length must be >= 1")
     (u_den, u_nums), (v_den, v_nums) = u, v
-    k = min(max_weight, n)
     if len(u_nums) <= k or len(v_nums) <= k:
         raise ValueError(f"component spectra need coefficients 0..{k}")
     rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
     row_n = rows[n]
     scale = math.lcm(*row_n[: k + 1])
     v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums[: k + 1])]
-    u_nums = u_nums[: k + 1]
-    if single_weight:
-        nums = [kernel.single_weight_numerator(n, u_nums, v_hat, rows, max_weight)]
-    else:
-        nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min(max_weight, 2 * n))
-    den = u_den * v_den * scale
+    return u_nums[: k + 1], v_hat, rows, u_den * v_den * scale
+
+
+def combine_int(n: int, u, v, max_weight: int) -> tuple[int, list[int]]:
+    """Integer form of the combine: ``(den, nums)`` in, ``(den, nums)`` out.
+
+    ``u`` and ``v`` are length-n spectra as ``(den, nums)`` pairs, coefficient
+    j being nums[j] / den; only nums[0..min(max_weight, n)] are read.  The
+    result holds the coefficients of x^0..x^min(max_weight, 2n) over the
+    least common denominator: ``den`` is the lcm of the reduced coefficient
+    denominators, which is what ``enumerator.common_denominator`` gives, so a
+    tree recursion passes the kernel the same integers at every node as a
+    recursion over reduced fractions would.
+    """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    u_nums, v_hat, rows, den = _integer_setup(n, u, v, min(max_weight, n))
+    nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min(max_weight, 2 * n))
     g = math.gcd(den, *nums)
     if g == 1:
         return den, nums
@@ -146,15 +148,14 @@ def combine_single_weight(
     n = _common_length(u_spectrum, v_spectrum)
     if not 0 <= w <= 2 * n:
         raise ValueError(f"weight {w} outside 0..{2 * n}")
-    k = min(w, n) + 1
-    den, (num,) = combine_int(
+    k = min(w, n)
+    u_nums, v_hat, rows, den = _integer_setup(
         n,
-        common_denominator(u_spectrum.coeffs[:k]),
-        common_denominator(v_spectrum.coeffs[:k]),
-        w,
-        single_weight=True,
+        common_denominator(u_spectrum.coeffs[: k + 1]),
+        common_denominator(v_spectrum.coeffs[: k + 1]),
+        k,
     )
-    return Fraction(num, den)
+    return Fraction(kernel.single_weight_numerator(n, u_nums, v_hat, rows, w), den)
 
 
 def min_distance_combine(d_u: int, d_v: int) -> int:

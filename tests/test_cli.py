@@ -266,6 +266,26 @@ class TestOracle:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        ("mode", "message"),
+        [
+            ("exhaustive", "exceeds the n! enumeration budget"),
+            ("montecarlo", "size out of range"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [2**64, 10**30])
+    def test_huge_declared_length_past_raised_guard_exit_3(
+        self, capsys, tmp_path, mode, message, n
+    ):
+        # A guard of 10^40 lets the file through the length check, so it
+        # reaches BinaryMatrix and the enumeration or sampling code.
+        g = write_json(tmp_path / "g.json", {"n": n, "rows": []})
+        code, out, err = run(
+            capsys, "oracle", g, g, "--mode", mode, "--max-length", str(10**40)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        assert message in err
 
 class TestBound:
     def test_value_matches_library(self, capsys, tmp_path):
