@@ -10,9 +10,16 @@ with --max-length or globally with the PLOTKIN_WEF_MAX_LENGTH environment
 variable.  combine, oracle and bound check the length n that each input file
 declares before they build its spectrum or matrix.
 
-The rm, tree and combine handlers take their spectra in integer form,
-``(den, nums)``, and reduce each nonzero coefficient to lowest terms only
-when it is written out; Fractions are built only for --format poly.
+Spectra stay in integer form, ``(den, nums)``, from input to output:
+combine and bound parse their spectrum files straight into that form
+(enumerator.spectrum_from_json, which also gives the canonical echo of the
+input), and each nonzero coefficient is reduced to lowest terms only when it
+is written out.  Fractions are built only for --format poly and for the
+weights 1..W that bound --truncate W reads.
+
+A spectrum file may be an output record.  A record written with --partial P
+holds only the weights 0..P; combine and bound refuse it (exit 2) when they
+need a weight above P, and report its dimension as null otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .codetree import (
     tree_json_depth,
     tree_to_json_dict,
 )
-from .enumerator import WeightEnumerator, common_denominator, format_poly, is_int
+from .enumerator import WeightEnumerator, format_poly, is_int, spectrum_from_json
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
 from .plotkin import combine, combine_int, combine_single_weight  # noqa: F401
@@ -93,10 +100,37 @@ def _load_json(path: str):
 
 
 def _spectrum_obj(path: str):
+    """(spectrum JSON, partial) of a spectrum file or an output record;
+    ``partial`` is the record's "partial" field, None for a bare spectrum."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "spectrum" in obj:
-        obj = obj["spectrum"]
-    return obj
+        return obj["spectrum"], obj.get("partial")
+    return obj, None
+
+
+def _check_record_covers(path: str, partial, weight: int) -> None:
+    """A record written with --partial P holds the weights 0..P only: refuse
+    a command that reads a weight above P rather than read it as zero."""
+    if partial is None:
+        return
+    if not is_int(partial):
+        raise ValueError(f"{path}: 'partial' must be an integer or null, got {partial!r}")
+    if weight > partial:
+        raise ValueError(
+            f"{path} is a partial record (weights <= {partial} only);"
+            f" this command reads weights up to {weight}"
+        )
+
+
+def _reduced_prefix(den: int, nums: list[int], k: int) -> tuple[int, list[int]]:
+    """The coefficients 0..k over their least common denominator: the one
+    gcd(den, *nums[:k + 1]) divides out, so the kernel gets the smallest
+    integers."""
+    prefix = nums[: k + 1]
+    g = math.gcd(den, *prefix)
+    if g == 1:
+        return den, prefix
+    return den // g, [num // g for num in prefix]
 
 
 def _dimension(total: int, den: int) -> int | None:
@@ -184,33 +218,31 @@ def _check_declared_length(obj, factor: int, max_length: int) -> None:
 
 
 def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
-    u_obj = _spectrum_obj(args.u_file)
-    v_obj = _spectrum_obj(args.v_file)
+    u_obj, u_partial = _spectrum_obj(args.u_file)
+    v_obj, v_partial = _spectrum_obj(args.v_file)
     for obj in (u_obj, v_obj):
         _check_declared_length(obj, 2, args.max_length)
-    u_enum = WeightEnumerator.from_json_dict(u_obj)
-    v_enum = WeightEnumerator.from_json_dict(v_obj)
-    if u_enum.length != v_enum.length:
-        raise ValueError(
-            f"component lengths differ: {u_enum.length} vs {v_enum.length}"
-        )
-    n = u_enum.length
+    u_den, u_nums, u_echo = spectrum_from_json(u_obj)
+    v_den, v_nums, v_echo = spectrum_from_json(v_obj)
+    n = len(u_nums) - 1
+    if len(v_nums) - 1 != n:
+        raise ValueError(f"component lengths differ: {n} vs {len(v_nums) - 1}")
     length = 2 * n
-    echo = {"u": u_enum.to_json_dict(), "v": v_enum.to_json_dict()}
+    echo = {"u": u_echo, "v": v_echo}
     max_weight = length
     if args.partial is not None:
         _check_partial(args.partial, length)
         max_weight = args.partial
-    # The common denominators of the prefixes the combine reads, not of the
-    # whole spectra: the kernel then gets the smallest integers.
-    k = min(max_weight, n) + 1
+    k = min(max_weight, n)
+    _check_record_covers(args.u_file, u_partial, k)
+    _check_record_covers(args.v_file, v_partial, k)
     den, nums = combine_int(
-        n,
-        common_denominator(u_enum.coeffs[:k]),
-        common_denominator(v_enum.coeffs[:k]),
-        max_weight,
+        n, _reduced_prefix(u_den, u_nums, k), _reduced_prefix(v_den, v_nums, k), max_weight
     )
-    dimension = _dimension(sum(nums), den) if args.partial is None else None
+    if args.partial is None and u_partial is None and v_partial is None:
+        dimension = _dimension(sum(nums), den)
+    else:
+        dimension = None
     spectrum = _spectrum_json(length, den, nums)
     record = _record("combine", echo, dimension, spectrum, args.partial)
     return record, lambda: [_poly_line(length, den, nums)]
@@ -246,13 +278,23 @@ def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
 
 
 def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
-    obj = _spectrum_obj(args.spectrum_file)
+    obj, partial = _spectrum_obj(args.spectrum_file)
     _check_declared_length(obj, 1, args.max_length)
-    enum = WeightEnumerator.from_json_dict(obj)
+    den, nums, spectrum = spectrum_from_json(obj)
     channel = ChannelPoint(rate=_parse_rate(args.rate), ebn0_db=args.ebn0)
-    value = truncated_union_bound(enum, args.truncate, channel)
-    spectrum = enum.to_json_dict()
-    record = _enum_record("bound", {"spectrum": spectrum}, enum, spectrum)
+    n = len(nums) - 1
+    if not 1 <= args.truncate <= n:
+        raise ValueError(f"truncate {args.truncate} outside 1..{n}")
+    _check_record_covers(args.spectrum_file, partial, args.truncate)
+    # The bound reads the weights 1..W only, so only the prefix 0..W becomes
+    # Fractions, each in lowest terms as a full enumerator would hold it.
+    prefix = tuple(Fraction(num, den) for num in nums[: args.truncate + 1])
+    value = truncated_union_bound(
+        WeightEnumerator(args.truncate, prefix), args.truncate, channel
+    )
+    dimension = _dimension(sum(nums), den) if partial is None else None
+    # The echoed spectrum of a partial record is partial too.
+    record = _record("bound", {"spectrum": spectrum}, dimension, spectrum, partial)
     record["bound"] = {
         "rate": channel.rate,
         "ebn0_db": channel.ebn0_db,

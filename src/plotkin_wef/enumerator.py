@@ -3,6 +3,11 @@
 A ``WeightEnumerator`` records, for a length-n code or code ensemble, the
 number A_j of weight-j words for j = 0..n (an ensemble average in general,
 hence rational).  Values are immutable and safe to share.
+
+Spectrum JSON is parsed straight into integer form by ``spectrum_from_json``:
+a common denominator and integer numerators, plus the canonical JSON echo,
+without a Fraction per coefficient.  ``WeightEnumerator.from_json_dict``
+wraps it.
 """
 
 from __future__ import annotations
@@ -98,29 +103,87 @@ class WeightEnumerator:
 
     @classmethod
     def from_json_dict(cls, obj) -> "WeightEnumerator":
-        if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
-            raise ValueError("enumerator JSON must have 'n' and 'coeffs' keys")
-        n = obj["n"]
-        if not is_int(n) or not 0 <= n < sys.maxsize:
-            raise ValueError(f"'n' must be an integer in 0..{sys.maxsize - 1}, got {n!r}")
-        raw = obj["coeffs"]
-        if not isinstance(raw, dict):
-            raise ValueError("'coeffs' must be an object mapping weight to value")
-        coeffs = [Fraction(0)] * (n + 1)
-        for key, value in raw.items():
-            try:
-                w = int(key)
-            except (TypeError, ValueError):
-                raise ValueError(f"bad weight key {key!r}") from None
-            if not 0 <= w <= n:
-                raise ValueError(f"weight {w} outside 0..{n}")
-            if isinstance(value, float):
-                raise ValueError(f"coefficient of x^{w} is a float; exact values only")
-            coeffs[w] = _as_fraction(value)
-        return cls(n, tuple(coeffs))
+        den, nums, _ = spectrum_from_json(obj)
+        return cls(len(nums) - 1, tuple(Fraction(num, den) for num in nums))
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _parse_coefficient(value) -> tuple[int, int, str]:
+    """(p, q, text): a coefficient as p / q in lowest terms, q > 0, and its
+    canonical text str(Fraction(p, q)).
+
+    "p" and "p/q" in ASCII digits are read with int() and one gcd, and the
+    input text is kept when it is already canonical; every other spelling
+    goes through ``_as_fraction``, with its acceptance and its errors.
+    """
+    if type(value) is str and value.isascii():
+        # bytes.isdigit accepts exactly 0-9, and is several times faster
+        # than str.isdigit.
+        num, slash, den = value.encode().partition(b"/")
+        if num.isdigit() and (not slash or den.isdigit()):
+            p = int(num)
+            if not slash:
+                return p, 1, str(p) if num.startswith(b"0") else value
+            q = int(den)
+            if q:
+                g = math.gcd(p, q)
+                if g != 1:
+                    p, q = p // g, q // g
+                if q == 1:
+                    return p, 1, str(p)
+                if g == 1 and not num.startswith(b"0") and not den.startswith(b"0"):
+                    return p, q, value
+                return p, q, f"{p}/{q}"
+    c = _as_fraction(value)
+    return c.numerator, c.denominator, str(c)
+
+
+def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
+    """Parse spectrum JSON, ``{"n": n, "coeffs": {"w": value, ...}}``, into
+    integer form in one pass: ``(den, nums, echo)``.
+
+    Coefficient w is nums[w] / den for w = 0..n; ``den`` is the lcm of the
+    reduced coefficient denominators, which is what ``common_denominator``
+    gives.  ``echo`` is the canonical JSON form that ``to_json_dict`` writes:
+    weights in increasing order, zeros omitted, values in lowest terms.
+    Values are integers or strings that ``Fraction`` reads ("p", "p/q",
+    "1.5", ...); floats, negatives and zero denominators raise ValueError,
+    other types TypeError.  A later key for the same weight overrides an
+    earlier one.
+    """
+    if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
+        raise ValueError("enumerator JSON must have 'n' and 'coeffs' keys")
+    n = obj["n"]
+    if not is_int(n) or not 0 <= n < sys.maxsize:
+        raise ValueError(f"'n' must be an integer in 0..{sys.maxsize - 1}, got {n!r}")
+    raw = obj["coeffs"]
+    if not isinstance(raw, dict):
+        raise ValueError("'coeffs' must be an object mapping weight to value")
+    # Allocated before any value is read, so that a length no list can hold
+    # fails first, whatever the values.
+    nums = [0] * (n + 1)
+    terms = {}
+    for key, value in raw.items():
+        try:
+            w = int(key)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad weight key {key!r}") from None
+        if not 0 <= w <= n:
+            raise ValueError(f"weight {w} outside 0..{n}")
+        if isinstance(value, float):
+            raise ValueError(f"coefficient of x^{w} is a float; exact values only")
+        terms[w] = _parse_coefficient(value)
+    weights = sorted(w for w, (p, _, _) in terms.items() if p)
+    den = math.lcm(*(terms[w][1] for w in weights))
+    for w in weights:
+        p, q, text = terms[w]
+        if p < 0:
+            raise ValueError(f"coefficient of x^{w} is negative: {text}")
+        nums[w] = p if q == den else p * (den // q)
+    echo = {"n": n, "coeffs": {str(w): terms[w][2] for w in weights}}
+    return den, nums, echo
 
 
 def parse_poly(text: str, length: int) -> WeightEnumerator:

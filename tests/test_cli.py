@@ -10,6 +10,7 @@ from plotkin_wef import (
     parse_poly,
     truncated_union_bound,
 )
+from plotkin_wef import cli
 from plotkin_wef.bounds import ChannelPoint
 from plotkin_wef.cli import main
 
@@ -23,6 +24,18 @@ def run(capsys, *argv):
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def write_record(capsys, path, *argv):
+    """Write the JSON record of one CLI call to ``path``."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    path.write_text(out, encoding="utf-8")
+    return str(path)
+
+
+def refuse_parsing(obj):
+    raise AssertionError("spectrum parsed before the length guard")
 
 
 @pytest.fixture
@@ -149,17 +162,76 @@ class TestCombine:
         )
         assert record["spectrum"]["coeffs"] == {"0": "1", "3": "4"}
 
+    def test_inputs_in_any_exact_spelling_are_echoed_canonically(self, capsys, tmp_path):
+        spelled = {
+            "u": {"0": "1", "1": "4/6", "2": "007", "3": " 3/4 ", "4": "3/04", "5": "2/1"},
+            "v": {"0": 1, "1": "+3", "2": "1.5", "3": "1e3", "4": "3_000", "5": "\u0663"},
+        }
+        canonical = {
+            "u": {"0": "1", "1": "2/3", "2": "7", "3": "3/4", "4": "3/4", "5": "2"},
+            "v": {"0": "1", "1": "3", "2": "3/2", "3": "1000", "4": "3000", "5": "3"},
+        }
+        outs = []
+        for coeffs in (spelled, canonical):
+            u = write_json(tmp_path / "u.json", {"n": 5, "coeffs": coeffs["u"]})
+            v = write_json(tmp_path / "v.json", {"n": 5, "coeffs": coeffs["v"]})
+            code, out, err = run(capsys, "combine", u, v, "--format", "json")
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        record = json.loads(outs[0])
+        assert record["input"] == {
+            "u": {"n": 5, "coeffs": canonical["u"]},
+            "v": {"n": 5, "coeffs": canonical["v"]},
+        }
+        expected = combine(
+            WeightEnumerator.from_json_dict({"n": 5, "coeffs": canonical["u"]}),
+            WeightEnumerator.from_json_dict({"n": 5, "coeffs": canonical["v"]}),
+        )
+        assert record["spectrum"] == expected.to_json_dict()
+
+    def test_partial_record_input_needs_the_weights_it_reads(self, capsys, tmp_path):
+        # A --partial 2 record of RM(1, 3) holds weights 0..2 only; the full
+        # combine reads weights up to 8 of it and once printed "1".
+        part = write_record(capsys, tmp_path / "p.json", "rm", "1", "3", "--partial", "2")
+        code, out, err = run(capsys, "combine", part, part)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "partial record (weights <= 2 only)" in err
+        assert "reads weights up to 8" in err
+        assert run(capsys, "combine", part, part, "--partial", "3")[0] == 2
+
+    def test_partial_record_input_within_its_weights(self, capsys, tmp_path):
+        part = write_record(capsys, tmp_path / "p.json", "rm", "1", "3", "--partial", "4")
+        full = write_record(capsys, tmp_path / "f.json", "rm", "1", "3")
+        argv = ("--partial", "4", "--format", "json")
+        from_part = json.loads(run(capsys, "combine", part, part, *argv)[1])
+        from_full = json.loads(run(capsys, "combine", full, full, *argv)[1])
+        assert from_part["spectrum"] == from_full["spectrum"]
+        assert from_part["dimension"] is None
+        # A record whose partial weight reaches n holds the whole spectrum,
+        # but its dimension is still not read from it.
+        whole = write_record(capsys, tmp_path / "w.json", "rm", "1", "3", "--partial", "8")
+        from_whole = json.loads(run(capsys, "combine", whole, whole, "--format", "json")[1])
+        from_full = json.loads(run(capsys, "combine", full, full, "--format", "json")[1])
+        assert from_whole["spectrum"] == from_full["spectrum"]
+        assert (from_whole["dimension"], from_full["dimension"]) == (None, 8)
+
+    @pytest.mark.parametrize("partial", ["4", 4.0, True, [4]])
+    def test_partial_field_must_be_an_integer(self, capsys, tmp_path, partial):
+        spectrum = {"n": 8, "coeffs": {"0": "1", "4": "14", "8": "1"}}
+        path = write_json(tmp_path / "r.json", {"spectrum": spectrum, "partial": partial})
+        code, out, err = run(capsys, "combine", path, path)
+        assert (code, out) == (2, "")
+        assert "'partial' must be an integer or null" in err
+
     def test_length_mismatch_exit_2(self, capsys, tmp_path, ex1_files):
         bad = write_json(tmp_path / "bad.json", {"n": 2, "coeffs": {"0": "1"}})
         assert run(capsys, "combine", ex1_files[0], bad)[0] == 2
 
     def test_declared_length_guard_runs_before_parsing(self, capsys, tmp_path, monkeypatch):
         big = write_json(tmp_path / "big.json", {"n": 2000000, "coeffs": {"1": "1"}})
-
-        def refuse(cls, obj):
-            raise AssertionError("enumerator built before the length guard")
-
-        monkeypatch.setattr(WeightEnumerator, "from_json_dict", classmethod(refuse))
+        monkeypatch.setattr(cli, "spectrum_from_json", refuse_parsing)
         code, out, err = run(capsys, "combine", big, big)
         assert code == 3
         assert out == ""
@@ -342,16 +414,37 @@ class TestBound:
     def test_declared_length_guard_runs_before_parsing(self, capsys, tmp_path, monkeypatch):
         big = write_json(tmp_path / "big.json", {"n": 2000000, "coeffs": {"1": "1"}})
         bound = ("--rate", "1/2", "--ebn0", "3", "--truncate", "1")
-
-        def refuse(cls, obj):
-            raise AssertionError("enumerator built before the length guard")
-
         with monkeypatch.context() as patched:
-            patched.setattr(WeightEnumerator, "from_json_dict", classmethod(refuse))
+            patched.setattr(cli, "spectrum_from_json", refuse_parsing)
             code, out, err = run(capsys, "bound", big, *bound)
         assert code == 3
         assert out == ""
         assert err.startswith("error: length 2000000 exceeds the guard")
+
+    def test_partial_record_input(self, capsys, tmp_path):
+        # RM(2, 6) has no word of weight 1..15, so a --partial 8 record read
+        # up to weight 40 once gave a bound of 0.0 and dimension 0.
+        part = write_record(capsys, tmp_path / "p.json", "rm", "2", "6", "--partial", "8")
+        full = write_record(capsys, tmp_path / "f.json", "rm", "2", "6")
+        channel = ("--rate", "1/2", "--ebn0", "3")
+        code, out, err = run(capsys, "bound", part, *channel, "--truncate", "40")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "partial record (weights <= 8 only)" in err
+        assert "reads weights up to 40" in err
+        assert float(run(capsys, "bound", full, *channel, "--truncate", "40")[1]) > 0
+        from_part = json.loads(
+            run(capsys, "bound", part, *channel, "--truncate", "8", "--format", "json")[1]
+        )
+        from_full = json.loads(
+            run(capsys, "bound", full, *channel, "--truncate", "8", "--format", "json")[1]
+        )
+        assert from_part["bound"] == from_full["bound"]
+        assert (from_part["dimension"], from_full["dimension"]) == (None, 22)
+        assert (from_part["partial"], from_full["partial"]) == (8, None)
+        # A truncation outside 1..n keeps its own error.
+        code, _, err = run(capsys, "bound", part, *channel, "--truncate", "65")
+        assert (code, err.splitlines()[0]) == (2, "error: truncate 65 outside 1..64")
 
     def test_max_length_flag_and_env(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path / "s.json", {"n": 32, "coeffs": {"0": "1", "32": "1"}})

@@ -78,6 +78,11 @@ def file_text(structured):
     return (
         structured.map(json.dumps)
         | st.builds(lambda obj: json.dumps({"spectrum": obj}), structured)
+        | st.builds(
+            lambda obj, partial: json.dumps({"spectrum": obj, "partial": partial}),
+            structured,
+            small_or_huge | json_scalars,
+        )
         | json_values.map(json.dumps)
         | st.text(max_size=20)
         | st.sampled_from(["", "{", "[" * 100000, "1" * 5000, '{"n": 1, "coeffs": {"0": "1"}}x'])

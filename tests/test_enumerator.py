@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plotkin_wef import PolyParseError, WeightEnumerator, format_poly, parse_poly
+from plotkin_wef.enumerator import common_denominator, spectrum_from_json
 
 
 def spectra(max_n=10):
@@ -133,3 +134,71 @@ def test_json_validation():
 
 def test_str_is_poly_form():
     assert str(parse_poly("1 + 3x^2", 3)) == "1 + 3x^2"
+
+
+def fraction_path(obj):
+    """The spectrum read through one Fraction per coefficient, as
+    ``from_json_dict`` read it before the integer-form parser: its
+    ``common_denominator`` and its canonical JSON, or the exception."""
+    n = obj["n"]
+    coeffs = [Fraction(0)] * (n + 1)
+    for key, value in obj["coeffs"].items():
+        w = int(key)
+        if isinstance(value, float):
+            raise ValueError(f"coefficient of x^{w} is a float; exact values only")
+        if isinstance(value, int) and not isinstance(value, bool):
+            coeffs[w] = Fraction(value)
+        elif isinstance(value, str):
+            try:
+                coeffs[w] = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
+        else:
+            raise TypeError(
+                "coefficients must be exact (int, Fraction or 'p/q' string),"
+                f" got {type(value).__name__}"
+            )
+    enum = WeightEnumerator(n, tuple(coeffs))
+    return common_denominator(enum.coeffs), enum.to_json_dict()
+
+
+big = st.integers(0, 10**40)
+coefficient_values = (
+    big.map(str)
+    | st.tuples(big, st.integers(1, 10**40)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+    | st.tuples(st.integers(1, 3), big).map(lambda zp: "0" * zp[0] + str(zp[1]))
+    | st.tuples(big, st.integers(1, 3), st.integers(1, 10**6)).map(
+        lambda pzq: f"{pzq[0]}/{'0' * pzq[1]}{pzq[2]}"
+    )
+    | st.sampled_from([
+        "4/6", "007", "3/04", "2/1", " 3/4 ", "+3", "1.5", "1e3", "3_000", "0/0",
+        "-1", "-2/4", "1/0", "0", "00", "0/7", "-0", "", "x", "3/", "/4", "1/-2",
+        "0x10", "\u0663", "\u0663/\u0664", "\u00b2", "1" * 5000, "1/" + "1" * 5000,
+    ])
+    | st.integers(-3, 10**30)
+    | st.booleans()
+    | st.floats()
+    | st.none()
+    | st.just([1])
+)
+
+
+@st.composite
+def spectrum_json(draw):
+    n = draw(st.integers(0, 6))
+    weights = st.integers(0, n).flatmap(lambda w: st.sampled_from([str(w), f"0{w}", f" {w}"]))
+    return {"n": n, "coeffs": draw(st.dictionaries(weights, coefficient_values, max_size=n + 2))}
+
+
+@given(spectrum_json())
+def test_spectrum_from_json_matches_the_fraction_path(obj):
+    try:
+        expected = fraction_path(obj)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            spectrum_from_json(obj)
+        assert str(excinfo.value) == str(exc)
+        return
+    den, nums, echo = spectrum_from_json(obj)
+    assert ((den, nums), echo) == expected
+    assert WeightEnumerator.from_json_dict(obj).to_json_dict() == echo
