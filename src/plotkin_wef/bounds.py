@@ -2,8 +2,9 @@
 
 The one floating-point corner of the package: spectra arrive exact and are
 converted to floats term by term, through logarithms for a coefficient beyond
-float range.  BPSK signalling is assumed, so a weight-w pairwise error event
-has argument sqrt(2 * w * rate * 10^(ebn0_db/10)).
+float range or a Gaussian tail below the normal floats.  BPSK signalling is
+assumed, so a weight-w pairwise error event has argument
+sqrt(2 * w * rate * 10^(ebn0_db/10)).
 """
 
 from __future__ import annotations
@@ -63,14 +64,18 @@ def _argument_beyond_float_range(w: int, channel: ChannelPoint) -> float:
 
 
 def _term(coeff: Fraction, x: float) -> float:
-    """A_w * Q(x); in the log domain only when A_w exceeds float range."""
+    """A_w * Q(x); in the log domain when A_w exceeds float range or Q(x)
+    is below the normal floats, where the float product would lose a
+    large A_w."""
     if x == math.inf:
         # Q(inf) = 0 exactly, whatever the size of A_w.
         return 0.0
-    try:
-        return float(coeff) * q_function(x)
-    except OverflowError:
-        pass
+    q = q_function(x)
+    if q >= sys.float_info.min:
+        try:
+            return float(coeff) * q
+        except OverflowError:
+            pass
     try:
         return math.exp(
             math.log(coeff.numerator) - math.log(coeff.denominator) + _log_q_function(x)

@@ -122,17 +122,6 @@ def _check_record_covers(path: str, partial, weight: int) -> None:
         )
 
 
-def _reduced_prefix(den: int, nums: list[int], k: int) -> tuple[int, list[int]]:
-    """The coefficients 0..k over their least common denominator: the one
-    gcd(den, *nums[:k + 1]) divides out, so the kernel gets the smallest
-    integers."""
-    prefix = nums[: k + 1]
-    g = math.gcd(den, *prefix)
-    if g == 1:
-        return den, prefix
-    return den // g, [num // g for num in prefix]
-
-
 def _dimension(total: int, den: int) -> int | None:
     """log2 of the mass total / den when it is a power of two, else None."""
     mass, rest = divmod(total, den)
@@ -236,9 +225,7 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
     k = min(max_weight, n)
     _check_record_covers(args.u_file, u_partial, k)
     _check_record_covers(args.v_file, v_partial, k)
-    den, nums = combine_int(
-        n, _reduced_prefix(u_den, u_nums, k), _reduced_prefix(v_den, v_nums, k), max_weight
-    )
+    den, nums = combine_int(n, (u_den, u_nums), (v_den, v_nums), max_weight)
     if args.partial is None and u_partial is None and v_partial is None:
         dimension = _dimension(sum(nums), den)
     else:

@@ -90,10 +90,6 @@ class WeightEnumerator:
                 return w
         return None
 
-    def common_denominator_form(self) -> tuple[int, list[int]]:
-        """Return (den, nums) with coeffs[j] == nums[j] / den exactly."""
-        return common_denominator(self.coeffs)
-
     def to_json_dict(self) -> dict:
         """Canonical JSON form; zero coefficients omitted, values as strings."""
         return {

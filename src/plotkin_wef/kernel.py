@@ -23,55 +23,49 @@ costs about n^2/2 big-int additions and n^2/2 products u[j] * C(n-j, m) *
 A_j(m), one per (j, m) with m <= n-j; an output weight whose parity no
 nonzero u-weight shares receives no term.
 
-``combine_numerators(n, u, v_hat, rows, max_weight)`` evaluates the output
-weights 0..max_weight (at most 2n) in one call.  With k = min(max_weight, n),
-those weights, like ``single_weight_numerator`` at w = max_weight, read u and
-v_hat at indices 0..k and entries 0..k of the rows n-k..n of ``rows`` (rows[a]
-holds C(a, .)); nothing else of ``rows`` needs to exist.  Every term they
-need has m + j <= k, so A_j(m) is exact on the v_hat prefix.
+``combine_numerators(n, u, v_hat, rows, lo, hi)``, the one entry point,
+returns the numerators of the output weights lo..hi (hi <= 2n): lo = 0 gives
+a prefix and lo = hi a single weight.  With k = min(hi, n), a window reads
+
+- u[0..last], last = min(hi, 2n - lo, k): a weight w >= lo has m <= n-j,
+  so no u-weight above 2n - lo reaches it;
+- v_hat[s..min(k, (hi + last)/2)], s = max(0, (lo - last)/2): weight lo needs
+  m >= (lo - j)/2, and Pascal's rule reads A only upwards in m, so A is
+  kept on m >= s alone;
+- entries s..min(k - j, (hi - j)/2) of rows[n-j] for j <= last (rows[a]
+  holds C(a, .); nothing else of ``rows`` needs to exist);
+
+so u, v_hat and the rows need the indices 0..k only.  A prefix 0..W
+(W <= n) costs about W^2/2 additions and W^2/2 products; one weight w costs
+about t^2/2 additions and at most t/2 + 1 products, t = min(w, 2n-w, k).
 """
 
 from operator import add, mul
 
 
-def single_weight_numerator(n, u, v_hat, rows, w):
-    """num_w alone: the A-recurrence on the window the diagonal
-    m = (w-j)/2 reads, with one product per u-weight of w's parity."""
-    top = min(w, 2 * n - w, len(u) - 1)
-    if (top ^ w) & 1:
-        top -= 1
-    while top >= 0 and not u[top]:
-        top -= 2
-    if top < 0:
-        return 0
-    # A_j is needed at m = (w-j)/2 for j <= top, which reads v_hat on
-    # lo..(w+top)/2; the window loses its last entry at every step.
-    lo = (w - top) >> 1
-    a = v_hat[lo : lo + top + 1]
-    total = 0
-    for j in range(top + 1):
-        if j:
-            a = [*map(add, a, a[1:])]
-        if not (j ^ w) & 1 and u[j]:
-            m = (w - j) >> 1
-            total += u[j] * rows[n - j][m] * a[m - lo]
-    return total
-
-
-def combine_numerators(n, u, v_hat, rows, max_weight):
-    out = [0] * (max_weight + 1)
-    last = min(len(u) - 1, max_weight)
+def combine_numerators(n, u, v_hat, rows, lo, hi):
+    out = [0] * (hi - lo + 1)
+    last = min(len(u) - 1, hi, 2 * n - lo)
     while last >= 0 and not u[last]:
         last -= 1
-    a = v_hat
+    # a[i] holds A_j(s + i).
+    s = max(0, (lo - last) // 2)
+    a = v_hat[s : (hi + last) // 2 + 1]
     for j in range(last + 1):
         if j:
             a = [*map(add, a, a[1:])]
         if u[j]:
-            count = min(len(a), (max_weight - j) // 2 + 1)
-            terms = map(mul, a[:count], rows[n - j][:count])
+            # The m of the weights j + 2m in lo..hi: first .. first + count - 1.
+            first = max(s, (lo - j + 1) // 2)
+            count = min(s + len(a), (hi - j) // 2 + 1) - first
+            if count <= 0:
+                continue
+            terms = map(
+                mul, a[first - s : first - s + count], rows[n - j][first : first + count]
+            )
             if u[j] != 1:
                 terms = map(u[j].__mul__, terms)
-            stop = j + 2 * count
-            out[j:stop:2] = map(add, out[j:stop:2], terms)
+            start = j + 2 * first - lo
+            stop = start + 2 * count
+            out[start:stop:2] = map(add, out[start:stop:2], terms)
     return out

@@ -18,18 +18,21 @@ full combine costs about n^2/2 big-int products and n^2/2 additions.
 Integer arithmetic is exact, so results never depend on evaluation order.
 
 Spectra travel in integer form: a ``(den, nums)`` pair, coefficient j being
-nums[j] / den.  ``combine_int`` takes and returns that form, reduced by one
-gcd to the least common denominator, so a tree recursion
+nums[j] / den.  ``combine_int`` is the one combine: it takes that form,
+reduces each input prefix and its output by one gcd to the least common
+denominator, and makes the one kernel call, so a tree recursion
 (codetree.ensemble_wef_int) and the CLI never build a Fraction per
-coefficient; ``combine`` and ``combine_prefix`` are Fraction wrappers
-around it for the public API, and ``combine_single_weight`` shares its
-setup step.
+coefficient.  ``combine``, ``combine_prefix`` and ``combine_single_weight``
+are Fraction views of it for the public API.
 
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
-``combine_prefix`` evaluates just those, in O(W^2) products and O(W^2)
-additions for W <= n, and the full ``combine`` is its W = 2n case;
-truncation therefore closes under tree recursion.
+``combine_int`` evaluates a window of output weights lo..W from just those:
+``combine_prefix`` is the window 0..W, in O(W^2) products and O(W^2)
+additions for W <= n, the full ``combine`` its W = 2n case, and
+``combine_single_weight`` the window w..w, in O(t) products and O(t^2)
+additions with t = min(w, 2n - w, n); truncation therefore closes under
+tree recursion.
 """
 
 from __future__ import annotations
@@ -67,45 +70,47 @@ def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -
     return u_spectrum.length
 
 
-def _integer_setup(n: int, u, v, k: int):
-    """Kernel inputs for the component weights 0..k of ``(den, nums)`` pairs
-    u and v: (u_nums, v_hat, rows, den), den being the closing denominator.
-
-    u enters as its integer numerators; ``scale`` = lcm(C(n, 0..k)) makes
-    every v_hat[b] = v_num[b] * scale / C(n, b) an integer, and the closing
-    denominator is u_den * v_den * scale.
-    """
-    if n < 1:
-        raise ValueError("component length must be >= 1")
-    (u_den, u_nums), (v_den, v_nums) = u, v
-    if len(u_nums) <= k or len(v_nums) <= k:
-        raise ValueError(f"component spectra need coefficients 0..{k}")
-    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
-    row_n = rows[n]
-    scale = math.lcm(*row_n[: k + 1])
-    v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums[: k + 1])]
-    return u_nums[: k + 1], v_hat, rows, u_den * v_den * scale
-
-
-def combine_int(n: int, u, v, max_weight: int) -> tuple[int, list[int]]:
-    """Integer form of the combine: ``(den, nums)`` in, ``(den, nums)`` out.
-
-    ``u`` and ``v`` are length-n spectra as ``(den, nums)`` pairs, coefficient
-    j being nums[j] / den; only nums[0..min(max_weight, n)] are read.  The
-    result holds the coefficients of x^0..x^min(max_weight, 2n) over the
-    least common denominator: ``den`` is the lcm of the reduced coefficient
-    denominators, which is what ``enumerator.common_denominator`` gives, so a
-    tree recursion passes the kernel the same integers at every node as a
-    recursion over reduced fractions would.
-    """
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    u_nums, v_hat, rows, den = _integer_setup(n, u, v, min(max_weight, n))
-    nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min(max_weight, 2 * n))
+def _lowest_terms(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """``(den, nums)`` over its least common denominator: one gcd divides out."""
     g = math.gcd(den, *nums)
     if g == 1:
         return den, nums
     return den // g, [num // g for num in nums]
+
+
+def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int, list[int]]:
+    """Integer form of the combine: ``(den, nums)`` in, ``(den, nums)`` out.
+
+    ``u`` and ``v`` are length-n spectra as ``(den, nums)`` pairs, coefficient
+    j being nums[j] / den; only nums[0..k], k = min(max_weight, n), are read,
+    and that prefix of each is first reduced to its least common denominator.
+    The result holds the coefficients of x^min_weight..x^min(max_weight, 2n)
+    over their least common denominator: ``den`` is the lcm of the reduced
+    coefficient denominators, which is what ``enumerator.common_denominator``
+    gives, so a tree recursion passes the kernel the same integers at every
+    node as a recursion over reduced fractions would.
+
+    u enters the kernel as its integer numerators; ``scale`` = lcm(C(n, 0..k))
+    makes every v_hat[b] = v_num[b] * scale / C(n, b) an integer, and the
+    closing denominator is u_den * v_den * scale.
+    """
+    if n < 1:
+        raise ValueError("component length must be >= 1")
+    hi = min(max_weight, 2 * n)
+    if not 0 <= min_weight <= hi:
+        raise ValueError(f"weights {min_weight}..{max_weight}: empty or outside 0..{2 * n}")
+    k = min(max_weight, n)
+    (u_den, u_nums), (v_den, v_nums) = u, v
+    if len(u_nums) <= k or len(v_nums) <= k:
+        raise ValueError(f"component spectra need coefficients 0..{k}")
+    u_den, u_nums = _lowest_terms(u_den, u_nums[: k + 1])
+    v_den, v_nums = _lowest_terms(v_den, v_nums[: k + 1])
+    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
+    row_n = rows[n]
+    scale = math.lcm(*row_n[: k + 1])
+    v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums)]
+    nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min_weight, hi)
+    return _lowest_terms(u_den * v_den * scale, nums)
 
 
 def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fraction, ...]:
@@ -140,22 +145,21 @@ def combine_single_weight(
 ) -> Fraction:
     """Coefficient of x^w of combine(...), without computing the other weights.
 
-    Reads the component coefficients 0..min(w, n) only.  With
-    t = min(w, 2n - w, n), the one weight costs about t^2/2 big-integer
-    additions (the binomial sums on the window the weight reads) and t/2
-    products.
+    Reads the component coefficients 0..min(w, n) only.  The kernel works on
+    the window [w, w]: with t = min(w, 2n - w, n), the one weight costs about
+    t^2/2 big-integer additions (the binomial sums on the diagonal the weight
+    reads) and at most t/2 + 1 products.
     """
     n = _common_length(u_spectrum, v_spectrum)
-    if not 0 <= w <= 2 * n:
-        raise ValueError(f"weight {w} outside 0..{2 * n}")
-    k = min(w, n)
-    u_nums, v_hat, rows, den = _integer_setup(
+    k = min(w, n) + 1
+    den, (num,) = combine_int(
         n,
-        common_denominator(u_spectrum.coeffs[: k + 1]),
-        common_denominator(v_spectrum.coeffs[: k + 1]),
-        k,
+        common_denominator(u_spectrum.coeffs[:k]),
+        common_denominator(v_spectrum.coeffs[:k]),
+        w,
+        w,
     )
-    return Fraction(kernel.single_weight_numerator(n, u_nums, v_hat, rows, w), den)
+    return Fraction(num, den)
 
 
 def min_distance_combine(d_u: int, d_v: int) -> int:

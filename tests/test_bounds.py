@@ -53,6 +53,20 @@ def test_matches_high_precision_reference():
     assert abs(value - float(reference)) <= 1e-12 * float(reference)
 
 
+@pytest.mark.parametrize("ebn0", (22.8, 23.0, 25.0))
+def test_finite_coefficient_times_underflowing_q_matches_reference(ebn0):
+    """A_4 = 10^300 is a finite float, but Q(x) at x > ~37.5 is below the
+    normal floats, so the float product A_4 * Q(x) would read 0.0."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    big = 10**300
+    x = mpmath.sqrt(8 * mpmath.mpf(10) ** (mpmath.mpf(ebn0) / 10))
+    reference = float(big * mpmath.erfc(x / mpmath.sqrt(2)) / 2)
+    enum = WeightEnumerator(4, (1, 0, 0, 0, big))
+    value = truncated_union_bound(enum, 4, ChannelPoint(rate=1.0, ebn0_db=ebn0))
+    assert abs(value - reference) <= 1e-8 * reference
+
+
 def test_partial_spectrum_gives_same_bound():
     # Only weights <= W contribute, so a spectrum truncated beyond W agrees.
     ch = ChannelPoint(rate=0.5, ebn0_db=3.0)

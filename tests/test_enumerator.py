@@ -101,7 +101,7 @@ def test_coefficient_accessor():
 
 def test_common_denominator_form():
     enum = WeightEnumerator(2, (1, Fraction(2, 3), Fraction(1, 4)))
-    den, nums = enum.common_denominator_form()
+    den, nums = common_denominator(enum.coeffs)
     assert den == 12
     assert nums == [12, 8, 3]
     assert all(Fraction(p, den) == c for p, c in zip(nums, enum.coeffs))

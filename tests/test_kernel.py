@@ -9,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import literal_combine, random_spectrum
-from plotkin_wef import WeightEnumerator, combine, combine_prefix, combine_single_weight
+from plotkin_wef import (
+    WeightEnumerator,
+    combine,
+    combine_prefix,
+    combine_single_weight,
+    kernel,
+)
 from plotkin_wef.combinatorics import plotkin_coefficient, shared_table
+from plotkin_wef.enumerator import common_denominator
+from plotkin_wef.plotkin import combine_int
 
 fractions = st.fractions(min_value=0, max_value=50, max_denominator=12)
 
@@ -79,8 +87,8 @@ def sparse_pairs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_pairs())
-def test_every_combine_path_matches_literal_sum(pair):
+@given(sparse_pairs(), st.data())
+def test_every_combine_path_matches_literal_sum(pair, data):
     n, u, v = pair
     expected = literal_combine(u, v).coeffs
     assert combine(u, v).coeffs == expected
@@ -88,6 +96,12 @@ def test_every_combine_path_matches_literal_sum(pair):
         assert combine_prefix(n, u.coeffs, v.coeffs, w) == expected[: w + 1]
     for w in range(2 * n + 1):
         assert combine_single_weight(u, v, w) == expected[w]
+    hi = data.draw(st.integers(0, 2 * n), label="hi")
+    lo = data.draw(st.integers(0, hi), label="lo")
+    den, nums = combine_int(
+        n, common_denominator(u.coeffs), common_denominator(v.coeffs), hi, lo
+    )
+    assert [Fraction(num, den) for num in nums] == list(expected[lo : hi + 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,6 +117,32 @@ def test_output_parity_follows_u_weights(pair, parity):
     for w in range(1 - parity, 2 * n + 1, 2):
         assert out[w] == 0
         assert combine_single_weight(u, v, w) == 0
+
+
+@pytest.mark.parametrize("w", (64, 100))
+def test_single_weight_costs_one_diagonal(monkeypatch, w):
+    """One weight w does at most t/2 + 1 big-int products and about
+    (t+1)^2/2 additions, t = min(w, 2n - w, n); the prefix to w does
+    hundreds to thousands of products at n = 64."""
+    n = 64
+    rng = random.Random(w)
+    u = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    v = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    expected = combine(u, v).coeffs[w]
+    counts = {"mul": 0, "add": 0}
+
+    def counting(name, op):
+        def wrapped(a, b):
+            counts[name] += 1
+            return op(a, b)
+        return wrapped
+
+    monkeypatch.setattr(kernel, "mul", counting("mul", kernel.mul))
+    monkeypatch.setattr(kernel, "add", counting("add", kernel.add))
+    assert combine_single_weight(u, v, w) == expected
+    t = min(w, 2 * n - w, n)
+    assert counts["mul"] <= t // 2 + 1
+    assert abs(counts["add"] - (t + 1) ** 2 / 2) <= t + 1
 
 
 def test_working_memory_is_linear_in_n():
