@@ -131,13 +131,18 @@ def _dimension(total: int, den: int) -> int | None:
 
 
 def _spectrum_json(length: int, den: int, nums) -> dict:
-    """JSON form of the coefficients nums[w] / den; each nonzero one is
-    reduced to lowest terms here, with one gcd, and zeros are omitted."""
+    """JSON form of the coefficients nums[w] / den; each distinct nonzero
+    numerator is reduced to lowest terms here, with one gcd, and zeros are
+    omitted.  A palindromic spectrum repeats nearly every numerator."""
     coeffs = {}
+    texts = {}
     for w, num in enumerate(nums):
         if num:
-            g = math.gcd(num, den)
-            coeffs[str(w)] = str(num // g) if g == den else f"{num // g}/{den // g}"
+            text = texts.get(num)
+            if text is None:
+                g = math.gcd(num, den)
+                text = texts[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
+            coeffs[str(w)] = text
     return {"n": length, "coeffs": coeffs}
 
 
@@ -163,20 +168,20 @@ def _parse_rate(text: str) -> float:
         raise ValueError(f"bad rate {text!r}: use a float or p/q") from None
 
 
-def _check_partial(partial: int, length: int) -> None:
+def _max_weight(partial: int | None, length: int) -> int:
+    """The highest output weight to compute: the --partial W, else ``length``."""
+    if partial is None:
+        return length
     if not 0 <= partial <= length:
         raise ValueError(f"--partial {partial} outside 0..{length}")
+    return partial
 
 
 def _cmd_rm(args) -> tuple[dict, Callable[[], list[str]]]:
     length = _tree_length(args.m, args.max_length)
     tree = rm_tree(args.r, args.m)
     echo = {"rm": {"r": args.r, "m": args.m}}
-    max_weight = length
-    if args.partial is not None:
-        _check_partial(args.partial, length)
-        max_weight = args.partial
-    den, nums = ensemble_wef_int(tree, max_weight)
+    den, nums = ensemble_wef_int(tree, _max_weight(args.partial, length))
     spectrum = _spectrum_json(length, den, nums)
     record = _record("rm", echo, tree.dimension, spectrum, args.partial)
     return record, lambda: [_poly_line(length, den, nums)]
@@ -186,9 +191,9 @@ def _cmd_tree(args) -> tuple[dict, Callable[[], list[str]]]:
     obj = _load_json(args.tree_file)
     _tree_length(tree_json_depth(obj), args.max_length)
     tree = tree_from_json_dict(obj)
-    den, nums = ensemble_wef_int(tree, tree.length)
+    den, nums = ensemble_wef_int(tree, _max_weight(args.partial, tree.length))
     spectrum = _spectrum_json(tree.length, den, nums)
-    record = _record("tree", tree_to_json_dict(tree), tree.dimension, spectrum, None)
+    record = _record("tree", tree_to_json_dict(tree), tree.dimension, spectrum, args.partial)
     gen = generator_matrix(tree) if args.emit_generator else None
     if gen is not None:
         record["generator"] = gen.to_json_dict()
@@ -218,10 +223,7 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
         raise ValueError(f"component lengths differ: {n} vs {len(v_nums) - 1}")
     length = 2 * n
     echo = {"u": u_echo, "v": v_echo}
-    max_weight = length
-    if args.partial is not None:
-        _check_partial(args.partial, length)
-        max_weight = args.partial
+    max_weight = _max_weight(args.partial, length)
     k = min(max_weight, n)
     _check_record_covers(args.u_file, u_partial, k)
     _check_record_covers(args.v_file, v_partial, k)
@@ -346,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("tree_file")
     p_tree.add_argument("--emit-generator", action="store_true",
                         help="also emit the identity-permutation generator matrix")
+    p_tree.add_argument("--partial", type=int, default=None, metavar="W",
+                        help="compute and emit only weights <= W")
     add_common(p_tree)
     p_tree.set_defaults(handler=_cmd_tree)
 

@@ -161,6 +161,10 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
     # fails first, whatever the values.
     nums = [0] * (n + 1)
     terms = {}
+    # A palindromic spectrum spells A_w and A_{n-w} alike: its values are
+    # parsed once per distinct string, and other spectra pay no lookups.
+    values = [*raw.values()]
+    parsed = {} if values == values[::-1] else None
     for key, value in raw.items():
         try:
             w = int(key)
@@ -170,7 +174,13 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
             raise ValueError(f"weight {w} outside 0..{n}")
         if isinstance(value, float):
             raise ValueError(f"coefficient of x^{w} is a float; exact values only")
-        terms[w] = _parse_coefficient(value)
+        if parsed is not None and type(value) is str:
+            term = parsed.get(value)
+            if term is None:
+                term = parsed[value] = _parse_coefficient(value)
+            terms[w] = term
+        else:
+            terms[w] = _parse_coefficient(value)
     weights = sorted(w for w, (p, _, _) in terms.items() if p)
     den = math.lcm(*(terms[w][1] for w in weights))
     for w in weights:

@@ -190,6 +190,47 @@ class TestCombine:
         )
         assert record["spectrum"] == expected.to_json_dict()
 
+    def test_repeated_values_in_any_spelling(self, capsys, tmp_path):
+        # Palindromic spectra repeat nearly every value; each distinct input
+        # text and output numerator is converted once per call.
+        u = {"0": "1", "1": "02", "2": "4/6", "3": "1.5", "4": "2/3", "5": "2", "6": "02"}
+        v = {"0": "01", "1": "1.5", "2": "4/6", "3": "7", "4": "4/6", "5": "1.5", "6": "01"}
+        u_enum = WeightEnumerator.from_json_dict({"n": 6, "coeffs": u})
+        v_enum = WeightEnumerator.from_json_dict({"n": 6, "coeffs": v})
+        assert v_enum.coeffs == v_enum.coeffs[::-1]
+        expected = combine(u_enum, v_enum)
+        u_path = write_json(tmp_path / "u.json", {"n": 6, "coeffs": u})
+        v_path = write_json(tmp_path / "v.json", {"n": 6, "coeffs": v})
+        code, out, err = run(capsys, "combine", u_path, v_path, "--format", "json")
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["input"] == {"u": u_enum.to_json_dict(), "v": v_enum.to_json_dict()}
+        assert record["spectrum"] == expected.to_json_dict()
+        assert run(capsys, "combine", u_path, v_path)[1] == str(expected) + "\n"
+        out_path = write_json(tmp_path / "out.json", record)
+        channel = ("--rate", "1/2", "--ebn0", "3", "--truncate", "12")
+        code, out, err = run(capsys, "bound", out_path, *channel)
+        assert code == 0, err
+        value = truncated_union_bound(expected, 12, ChannelPoint(0.5, 3.0))
+        assert out == f"{value!r}\n"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([1], "coefficients must be exact (int, Fraction or 'p/q' string), got list"),
+            (1.5, "coefficient of x^1 is a float; exact values only"),
+            (-1, "coefficient of x^1 is negative: -1"),
+            ("-3/2", "coefficient of x^1 is negative: -3/2"),
+        ],
+    )
+    def test_repeated_bad_values_keep_their_errors(self, capsys, tmp_path, value, message):
+        path = write_json(
+            tmp_path / "s.json", {"n": 3, "coeffs": {"0": "1", "1": value, "3": value}}
+        )
+        bound = ("--rate", "1/2", "--ebn0", "3", "--truncate", "3")
+        for argv in (("combine", path, path), ("bound", path, *bound)):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_partial_record_input_needs_the_weights_it_reads(self, capsys, tmp_path):
         # A --partial 2 record of RM(1, 3) holds weights 0..2 only; the full
         # combine reads weights up to 8 of it and once printed "1".
@@ -568,6 +609,33 @@ class TestTree:
             "n": 8,
             "rows": ["11110000", "11001100", "10101010", "11111111"],
         }
+
+    def test_partial_is_a_prefix_of_the_full_record(self, capsys, tmp_path):
+        # Leaves 3, 5, 6, 7, 11 and 13 of a depth-4 tree: not an RM code.
+        path = write_json(tmp_path / "t.json", {"m": 4, "active": [3, 5, 6, 7, 11, 13]})
+        full = json.loads(run(capsys, "tree", path, "--format", "json")[1])
+        for w in (0, 3, 4, 9, 16):
+            code, out, err = run(capsys, "tree", path, "--partial", str(w), "--format", "json")
+            assert code == 0, err
+            part = json.loads(out)
+            assert part["partial"] == w
+            expected = {k: c for k, c in full["spectrum"]["coeffs"].items() if int(k) <= w}
+            assert part["spectrum"]["coeffs"] == expected
+            assert part["input"] == full["input"]
+        code, _, err = run(capsys, "tree", path, "--partial", "17")
+        assert (code, err.splitlines()[0]) == (2, "error: --partial 17 outside 0..16")
+
+    def test_partial_record_feeds_bound_up_to_its_weight(self, capsys, tmp_path):
+        path = write_json(tmp_path / "t.json", {"m": 4, "active": [3, 5, 6, 7, 11, 13]})
+        part = write_record(capsys, tmp_path / "p.json", "tree", path, "--partial", "6")
+        full = write_record(capsys, tmp_path / "f.json", "tree", path)
+        channel = ("--rate", "3/8", "--ebn0", "2")
+        from_part = run(capsys, "bound", part, *channel, "--truncate", "6")
+        assert from_part[0] == 0
+        assert from_part[1] == run(capsys, "bound", full, *channel, "--truncate", "6")[1]
+        code, out, err = run(capsys, "bound", part, *channel, "--truncate", "7")
+        assert (code, out) == (2, "")
+        assert "partial record (weights <= 6 only)" in err
 
     def test_malformed_tree_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path / "t.json", {"m": 3})

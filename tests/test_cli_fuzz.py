@@ -152,10 +152,10 @@ def test_rm(r, m, flags, common):
 
 
 @FUZZ
-@given(text=file_text(trees), emit=st.booleans(), common=guarded)
-def test_tree(text, emit, common):
+@given(text=file_text(trees), emit=st.booleans(), flags=partial, common=guarded)
+def test_tree(text, emit, flags, common):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["tree", write(tmp, "t.json", text), *common]
+        argv = ["tree", write(tmp, "t.json", text), *flags, *common]
         check_contract(argv + ["--emit-generator"] if emit else argv)
 
 

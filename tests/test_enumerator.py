@@ -187,7 +187,10 @@ coefficient_values = (
 def spectrum_json(draw):
     n = draw(st.integers(0, 6))
     weights = st.integers(0, n).flatmap(lambda w: st.sampled_from([str(w), f"0{w}", f" {w}"]))
-    return {"n": n, "coeffs": draw(st.dictionaries(weights, coefficient_values, max_size=n + 2))}
+    # Values from a small pool repeat, as in a palindromic spectrum.
+    pool = draw(st.lists(coefficient_values, min_size=1, max_size=2))
+    values = coefficient_values | st.sampled_from(pool)
+    return {"n": n, "coeffs": draw(st.dictionaries(weights, values, max_size=n + 2))}
 
 
 @given(spectrum_json())

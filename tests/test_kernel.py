@@ -65,9 +65,14 @@ def test_zero_component_gives_zero_spectrum():
 @st.composite
 def sparse_spectrum(draw, n):
     """Rational spectra with the zero patterns of real component codes: only
-    even weights, zero runs above weight 0 and below weight n, or all zero."""
+    even weights, zero runs above weight 0 and below weight n, or all zero;
+    or palindromic (A_j = A_{n-j}), as for a code holding the all-ones word."""
     coeffs = draw(st.lists(fractions, min_size=n + 1, max_size=n + 1))
-    shape = draw(st.sampled_from(("dense", "even", "gaps", "even-gaps", "zero")))
+    shape = draw(
+        st.sampled_from(("dense", "even", "gaps", "even-gaps", "zero", "palindromic"))
+    )
+    if shape == "palindromic":
+        coeffs[n // 2 + 1 :] = coeffs[: (n + 1) // 2][::-1]
     if "even" in shape:
         coeffs[1::2] = [Fraction(0)] * len(coeffs[1::2])
     if "gaps" in shape:
@@ -92,6 +97,9 @@ def test_every_combine_path_matches_literal_sum(pair, data):
     n, u, v = pair
     expected = literal_combine(u, v).coeffs
     assert combine(u, v).coeffs == expected
+    if v.coeffs == v.coeffs[::-1]:
+        # Complementing the v-word maps output weight w to 2n - w.
+        assert expected == expected[::-1]
     for w in range(2 * n + 2):
         assert combine_prefix(n, u.coeffs, v.coeffs, w) == expected[: w + 1]
     for w in range(2 * n + 1):
@@ -143,6 +151,31 @@ def test_single_weight_costs_one_diagonal(monkeypatch, w):
     t = min(w, 2 * n - w, n)
     assert counts["mul"] <= t // 2 + 1
     assert abs(counts["add"] - (t + 1) ** 2 / 2) <= t + 1
+
+
+def test_palindromic_v_halves_the_products(monkeypatch):
+    """A palindromic v-spectrum gives a palindromic output, so the full
+    combine evaluates the weights 0..n only: (n/2 + 1)^2 products at even n
+    instead of (n + 1)(n + 2)/2.  One changed coefficient of v loses the
+    symmetry and restores the full count."""
+    n = 64
+    rng = random.Random(64)
+    u = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    half = random_spectrum(rng, n, max_num=10**6, max_den=50).coeffs
+    palindromic = WeightEnumerator(n, half[: n // 2 + 1] + half[: n // 2][::-1])
+    skewed = WeightEnumerator(n, palindromic.coeffs[:-1] + (palindromic.coeffs[-1] + 1,))
+    products = 0
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(kernel, "mul", counting_mul)
+    for v, expected_products in ((palindromic, 1089), (skewed, 2145)):
+        products = 0
+        assert combine(u, v) == literal_combine(u, v)
+        assert products == expected_products
 
 
 def test_working_memory_is_linear_in_n():
