@@ -14,8 +14,11 @@ Spectra stay in integer form, ``(den, nums)``, from input to output:
 combine and bound parse their spectrum files straight into that form
 (enumerator.spectrum_from_json, which also gives the canonical echo of the
 input), and each nonzero coefficient is reduced to lowest terms only when it
-is written out.  Fractions are built only for --format poly and for the
-weights 1..W that bound --truncate W reads.
+is written out.  json, csv and poly all render the record's canonical
+coefficient texts (enumerator.render_poly writes the polynomial); Fractions
+are built only by oracle and by bound, for its rate and the weights 1..W
+that --truncate W reads.  Integers of any size are read and written: main lifts Python's
+limit on int/str conversion for the duration of the call.
 
 A spectrum file may be an output record.  A record written with --partial P
 holds only the weights 0..P; combine and bound refuse it (exit 2) when they
@@ -48,7 +51,7 @@ from .codetree import (
     tree_json_depth,
     tree_to_json_dict,
 )
-from .enumerator import WeightEnumerator, format_poly, is_int, spectrum_from_json
+from .enumerator import WeightEnumerator, format_poly, is_int, render_poly, spectrum_from_json
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
 from .plotkin import combine, combine_int, combine_single_weight  # noqa: F401
@@ -177,30 +180,37 @@ def _max_weight(partial: int | None, length: int) -> int:
     return partial
 
 
+def _poly_lines(record: dict, *extra: str) -> Callable[[], list[str]]:
+    """The poly output of a record: its spectrum's polynomial, then ``extra``."""
+    return lambda: [render_poly(record["spectrum"]["coeffs"]), *extra]
+
+
+def _tree_command(args, command: str, m: int, build, echo) -> tuple[dict, Callable[[], list[str]]]:
+    """The body of rm and tree: guard the length 2^m, build the tree, record
+    its weights up to --partial, with ``echo(tree)`` as the record's input,
+    and its generator matrix under --emit-generator."""
+    _tree_length(m, args.max_length)
+    tree = build()
+    den, nums = ensemble_wef_int(tree, _max_weight(args.partial, tree.length))
+    spectrum = _spectrum_json(tree.length, den, nums)
+    record = _record(command, echo(tree), tree.dimension, spectrum, args.partial)
+    if not args.emit_generator:
+        return record, _poly_lines(record)
+    gen = generator_matrix(tree)
+    record["generator"] = gen.to_json_dict()
+    return record, _poly_lines(record, *gen.to_strings())
+
+
 def _cmd_rm(args) -> tuple[dict, Callable[[], list[str]]]:
-    length = _tree_length(args.m, args.max_length)
-    tree = rm_tree(args.r, args.m)
     echo = {"rm": {"r": args.r, "m": args.m}}
-    den, nums = ensemble_wef_int(tree, _max_weight(args.partial, length))
-    spectrum = _spectrum_json(length, den, nums)
-    record = _record("rm", echo, tree.dimension, spectrum, args.partial)
-    return record, lambda: [_poly_line(length, den, nums)]
+    build = functools.partial(rm_tree, args.r, args.m)
+    return _tree_command(args, "rm", args.m, build, lambda _: echo)
 
 
 def _cmd_tree(args) -> tuple[dict, Callable[[], list[str]]]:
     obj = _load_json(args.tree_file)
-    _tree_length(tree_json_depth(obj), args.max_length)
-    tree = tree_from_json_dict(obj)
-    den, nums = ensemble_wef_int(tree, _max_weight(args.partial, tree.length))
-    spectrum = _spectrum_json(tree.length, den, nums)
-    record = _record("tree", tree_to_json_dict(tree), tree.dimension, spectrum, args.partial)
-    gen = generator_matrix(tree) if args.emit_generator else None
-    if gen is not None:
-        record["generator"] = gen.to_json_dict()
-    return record, lambda: [
-        _poly_line(tree.length, den, nums),
-        *(gen.to_strings() if gen else ()),
-    ]
+    build = functools.partial(tree_from_json_dict, obj)
+    return _tree_command(args, "tree", tree_json_depth(obj), build, tree_to_json_dict)
 
 
 def _check_declared_length(obj, factor: int, max_length: int) -> None:
@@ -234,14 +244,7 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
         dimension = None
     spectrum = _spectrum_json(length, den, nums)
     record = _record("combine", echo, dimension, spectrum, args.partial)
-    return record, lambda: [_poly_line(length, den, nums)]
-
-
-def _enum_record(command: str, input_echo, enum: WeightEnumerator, spectrum: dict) -> dict:
-    """Record of an enumerator whose JSON form ``spectrum`` is already built."""
-    mass = enum.total_mass()
-    dimension = _dimension(mass.numerator, mass.denominator)
-    return _record(command, input_echo, dimension, spectrum, None)
+    return record, _poly_lines(record)
 
 
 def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
@@ -253,16 +256,18 @@ def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
     G1 = BinaryMatrix.from_json_dict(g1_obj)
     echo = {"g0": G0.to_json_dict(), "g1": G1.to_json_dict(), "mode": args.mode}
     if args.mode == "exhaustive":
-        enum = ensemble_wef_exhaustive(G0, G1)
-        record = _enum_record("oracle", echo, enum, enum.to_json_dict())
-        return record, lambda: [format_poly(enum)]
-    echo["samples"] = args.samples
-    echo["seed"] = args.seed
-    enum, stderrs = ensemble_wef_montecarlo(G0, G1, args.samples, args.seed)
-    record = _enum_record("oracle", echo, enum, enum.to_json_dict())
-    record["stderr"] = {
-        str(w): stderrs[w] for w, c in enumerate(enum.coeffs) if c or stderrs[w]
-    }
+        enum, stderrs = ensemble_wef_exhaustive(G0, G1), None
+    else:
+        echo["samples"] = args.samples
+        echo["seed"] = args.seed
+        enum, stderrs = ensemble_wef_montecarlo(G0, G1, args.samples, args.seed)
+    mass = enum.total_mass()
+    dimension = _dimension(mass.numerator, mass.denominator)
+    record = _record("oracle", echo, dimension, enum.to_json_dict(), None)
+    if stderrs is not None:
+        record["stderr"] = {
+            str(w): stderrs[w] for w, c in enumerate(enum.coeffs) if c or stderrs[w]
+        }
     return record, lambda: [format_poly(enum)]
 
 
@@ -293,25 +298,14 @@ def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
     return record, lambda: [repr(value)]
 
 
-def _poly_line(length: int, den: int, nums) -> str:
-    """The poly form of a length-``length`` spectrum given by the
-    coefficients nums[0..W] / den (W <= length); the weights above W read
-    as zero."""
-    coeffs = [Fraction(num, den) for num in nums]
-    coeffs += [Fraction(0)] * (length + 1 - len(nums))
-    return format_poly(WeightEnumerator(length, tuple(coeffs)))
-
-
 def _print_csv(record: dict, out) -> None:
+    """One row per weight of the record's spectrum, whose keys are in
+    increasing order, with the Monte Carlo standard error when there is one."""
     stderrs = record.get("stderr")
-    header = "weight,coefficient,stderr" if stderrs is not None else "weight,coefficient"
-    print(header, file=out)
-    coeffs = record["spectrum"]["coeffs"]
-    for w in sorted(int(k) for k in coeffs):
-        if stderrs is not None:
-            print(f"{w},{coeffs[str(w)]},{stderrs.get(str(w), 0.0)!r}", file=out)
-        else:
-            print(f"{w},{coeffs[str(w)]}", file=out)
+    print("weight,coefficient" + ("" if stderrs is None else ",stderr"), file=out)
+    for w, text in record["spectrum"]["coeffs"].items():
+        tail = "" if stderrs is None else f",{stderrs.get(w, 0.0)!r}"
+        print(f"{w},{text}{tail}", file=out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--partial", type=int, default=None, metavar="W",
                       help="compute and emit only weights <= W")
     add_common(p_rm)
-    p_rm.set_defaults(handler=_cmd_rm)
+    # rm shares tree's body, without its --emit-generator.
+    p_rm.set_defaults(handler=_cmd_rm, emit_generator=False)
 
     p_tree = sub.add_parser("tree", help="spectrum of a tree given as JSON")
     p_tree.add_argument("tree_file")
@@ -388,6 +383,17 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    # Exact coefficients have any number of digits, so the length guard is
+    # the only size control; callers in the same process keep their limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:

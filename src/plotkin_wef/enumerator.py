@@ -7,7 +7,8 @@ hence rational).  Values are immutable and safe to share.
 Spectrum JSON is parsed straight into integer form by ``spectrum_from_json``:
 a common denominator and integer numerators, plus the canonical JSON echo,
 without a Fraction per coefficient.  ``WeightEnumerator.from_json_dict``
-wraps it.
+wraps it.  ``render_poly`` writes the polynomial text of those canonical
+coefficient texts; ``format_poly`` is that text of an enumerator.
 """
 
 from __future__ import annotations
@@ -229,15 +230,20 @@ def parse_poly(text: str, length: int) -> WeightEnumerator:
     return WeightEnumerator(length, tuple(coeffs))
 
 
+def render_poly(coeffs) -> str:
+    """Polynomial text of canonical coefficient texts, ``{"w": "p/q"}`` in
+    increasing weight with zeros omitted (the "coeffs" of spectrum JSON):
+    ascending exponents, "0" when there is no term."""
+    terms = []
+    for w, text in coeffs.items():
+        if w == "0":
+            terms.append(text)
+        else:
+            xpart = "x" if w == "1" else f"x^{w}"
+            terms.append(xpart if text == "1" else text + xpart)
+    return " + ".join(terms) or "0"
+
+
 def format_poly(enum: WeightEnumerator) -> str:
     """Canonical text form: ascending exponents, zero terms omitted."""
-    terms = []
-    for w, c in enumerate(enum.coeffs):
-        if not c:
-            continue
-        if w == 0:
-            terms.append(str(c))
-            continue
-        xpart = "x" if w == 1 else f"x^{w}"
-        terms.append(xpart if c == 1 else f"{c}{xpart}")
-    return " + ".join(terms) if terms else "0"
+    return render_poly(enum.to_json_dict()["coeffs"])

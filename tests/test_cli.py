@@ -1,5 +1,8 @@
+import contextlib
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +10,7 @@ from plotkin_wef import (
     BinaryMatrix,
     WeightEnumerator,
     combine,
+    format_poly,
     parse_poly,
     truncated_union_bound,
 )
@@ -32,6 +36,17 @@ def write_record(capsys, path, *argv):
     assert code == 0, err
     path.write_text(out, encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def any_int_digits():
+    """Lift the int/str conversion limit for the test's own conversions."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def refuse_parsing(obj):
@@ -690,6 +705,111 @@ class TestRoundTrips:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @staticmethod
+    def spectrum_argv(tmp_path, case):
+        """argv (without --format) of a command that prints a spectrum."""
+        tree, u, v, g0, g1 = (
+            write_json(tmp_path / f"{name}.json", obj)
+            for name, obj in [
+                ("tree", {"m": 4, "active": [3, 5, 6, 7, 11, 13]}),
+                ("u", {"n": 5, "coeffs": {"0": "1", "1": "2/3", "3": "5/7"}}),
+                ("v", {"n": 5, "coeffs": {"0": "1", "2": "1/2", "5": "1"}}),
+                ("g0", {"n": 3, "rows": ["100"]}),
+                ("g1", {"n": 3, "rows": ["110"]}),
+            ]
+        )
+        return {
+            "rm": ["rm", "2", "4"],
+            "rm-partial": ["rm", "2", "4", "--partial", "6"],
+            "tree": ["tree", tree, "--emit-generator"],
+            "tree-partial": ["tree", tree, "--partial", "9"],
+            "combine-partial": ["combine", u, v, "--partial", "6"],
+            "oracle-exhaustive": ["oracle", g0, g1],
+            "oracle-montecarlo": ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "40"],
+        }[case]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "rm", "rm-partial", "tree", "tree-partial", "combine-partial",
+            "oracle-exhaustive", "oracle-montecarlo",
+        ],
+    )
+    def test_every_format_prints_the_same_spectrum(self, capsys, tmp_path, case):
+        argv = self.spectrum_argv(tmp_path, case)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        record = json.loads(out)
+        coeffs = record["spectrum"]["coeffs"]
+        poly = run(capsys, *argv, "--format", "poly")[1].splitlines()
+        assert poly[0] == format_poly(WeightEnumerator.from_json_dict(record["spectrum"]))
+        assert poly[1:] == record.get("generator", {}).get("rows", [])
+        csv = run(capsys, *argv, "--format", "csv")[1].splitlines()
+        stderrs = record.get("stderr")
+        if stderrs is None:
+            assert csv[0] == "weight,coefficient"
+            assert csv[1:] == [f"{w},{c}" for w, c in coeffs.items()]
+        else:
+            assert csv[0] == "weight,coefficient,stderr"
+            assert [row.split(",") for row in csv[1:]] == [
+                [w, c, repr(stderrs.get(w, 0.0))] for w, c in coeffs.items()
+            ]
+            assert any(float(row.split(",")[2]) > 0 for row in csv[1:])
+
+    @pytest.mark.parametrize("case", ["rm", "rm-partial", "tree", "combine-partial"])
+    def test_poly_renders_the_record_without_fractions(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        argv = [*self.spectrum_argv(tmp_path, case), "--format", "poly"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("poly output built a Fraction or a WeightEnumerator")
+
+        monkeypatch.setattr(cli, "Fraction", refuse)
+        monkeypatch.setattr(cli, "WeightEnumerator", refuse)
+        assert run(capsys, *argv)[:2] == (0, expected)
+
+    def test_coefficients_beyond_the_int_str_limit(self, capsys, tmp_path):
+        # A 5000-digit coefficient is past Python's default 4300-digit limit
+        # on int/str conversion; main lifts it for the call and restores it.
+        big = 10**4999 + 12345
+        u = WeightEnumerator(4, (1, 0, Fraction(3, 7), 0, big))
+        v = WeightEnumerator(4, (1, 0, 0, 0, 1))
+        with any_int_digits():
+            u_path = write_json(tmp_path / "u.json", u.to_json_dict())
+            expected = combine(u, v)
+            expected_json = expected.to_json_dict()
+            expected_poly = format_poly(expected)
+        v_path = write_json(tmp_path / "v.json", v.to_json_dict())
+        limit = sys.get_int_max_str_digits()
+        channel = ChannelPoint(1 / 350, 60.0)
+        outs = {}
+        for fmt in ("json", "poly", "csv"):
+            code, outs[fmt], err = run(capsys, "combine", u_path, v_path, "--format", fmt)
+            assert (code, sys.get_int_max_str_digits()) == (0, limit), err
+        record_path = tmp_path / "combined.json"
+        record_path.write_text(outs["json"], encoding="utf-8")
+        bounds = [
+            (u_path, 4, truncated_union_bound(u, 4, channel)),
+            (str(record_path), 8, truncated_union_bound(expected, 8, channel)),
+        ]
+        for path, truncate, value in bounds:
+            code, out, err = run(
+                capsys, "bound", path, "--rate", "1/350", "--ebn0", "60",
+                "--truncate", str(truncate),
+            )
+            assert (code, sys.get_int_max_str_digits()) == (0, limit), err
+            assert value > 1e30
+            assert float(out) == value
+        assert json.loads(outs["json"])["spectrum"] == expected_json
+        assert outs["poly"] == expected_poly + "\n"
+        assert outs["csv"].splitlines()[1:] == [
+            f"{w},{c}" for w, c in expected_json["coeffs"].items()
+        ]
+        assert len(expected_json["coeffs"]["4"]) == 5000
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -45,6 +45,8 @@ coefficients = (
     | st.none()
     | st.lists(st.integers(0, 3), max_size=2)
     | st.sampled_from(["1/0", "0/0", "-1", "3/4", "x", "1e400", "nan", "inf", " 2 ", "", "1/-2"])
+    # Longer than Python's default limit on int/str conversion (4300 digits).
+    | st.just("9" * 5000)
 )
 weight_keys = st.integers(-3, 15).map(str) | st.text(max_size=3)
 
