@@ -10,15 +10,20 @@ with --max-length or globally with the PLOTKIN_WEF_MAX_LENGTH environment
 variable.  combine, oracle and bound check the length n that each input file
 declares before they build its spectrum or matrix.
 
+Each command is a function from its parsed arguments to one JSON record,
+and main renders json, csv and poly from that record alone: the poly line is
+enumerator.render_poly of the record's canonical coefficient texts, followed
+by the generator rows that tree --emit-generator adds, and a bound record
+prints its value.
+
 Spectra stay in integer form, ``(den, nums)``, from input to output:
 combine and bound parse their spectrum files straight into that form
 (enumerator.spectrum_from_json, which also gives the canonical echo of the
-input), and each nonzero coefficient is reduced to lowest terms only when it
-is written out.  json, csv and poly all render the record's canonical
-coefficient texts (enumerator.render_poly writes the polynomial); Fractions
-are built only by oracle and by bound, for its rate and the weights 1..W
-that --truncate W reads.  Integers of any size are read and written: main lifts Python's
-limit on int/str conversion for the duration of the call.
+input), and enumerator.spectrum_to_json reduces each nonzero coefficient to
+lowest terms only when it is written out.  Fractions are built only by
+oracle and by bound, for its rate and the weights 1..W that --truncate W
+reads.  Integers of any size are read and written: main lifts Python's limit
+on int/str conversion for the duration of the call.
 
 A spectrum file may be an output record.  A record written with --partial P
 holds only the weights 0..P; combine and bound refuse it (exit 2) when they
@@ -30,18 +35,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
-from collections.abc import Callable
 from fractions import Fraction
 
 from .bounds import ChannelPoint, truncated_union_bound
 
-# ensemble_wef, combine and combine_single_weight are not called here; they
-# stay importable from this module because perfbench's tracer looks them up
-# here and its self-test fails on a missing per-layer entry point.
+# ensemble_wef, format_poly, combine and combine_single_weight are not called
+# here; they stay importable from this module because perfbench's tracer looks
+# them up here and its self-test fails on a missing per-layer entry point.
 from .codetree import (
     ensemble_wef,  # noqa: F401
     ensemble_wef_int,
@@ -51,7 +54,8 @@ from .codetree import (
     tree_json_depth,
     tree_to_json_dict,
 )
-from .enumerator import WeightEnumerator, format_poly, is_int, render_poly, spectrum_from_json
+from .enumerator import format_poly  # noqa: F401
+from .enumerator import WeightEnumerator, is_int, render_poly, spectrum_from_json, spectrum_to_json
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
 from .plotkin import combine, combine_int, combine_single_weight  # noqa: F401
@@ -133,22 +137,6 @@ def _dimension(total: int, den: int) -> int | None:
     return mass.bit_length() - 1
 
 
-def _spectrum_json(length: int, den: int, nums) -> dict:
-    """JSON form of the coefficients nums[w] / den; each distinct nonzero
-    numerator is reduced to lowest terms here, with one gcd, and zeros are
-    omitted.  A palindromic spectrum repeats nearly every numerator."""
-    coeffs = {}
-    texts = {}
-    for w, num in enumerate(nums):
-        if num:
-            text = texts.get(num)
-            if text is None:
-                g = math.gcd(num, den)
-                text = texts[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
-            coeffs[str(w)] = text
-    return {"n": length, "coeffs": coeffs}
-
-
 def _record(command: str, input_echo, dimension, spectrum: dict, partial):
     # Weight keys are in increasing order, so the first one past "0" is the
     # smallest positive weight with a nonzero coefficient.
@@ -180,37 +168,29 @@ def _max_weight(partial: int | None, length: int) -> int:
     return partial
 
 
-def _poly_lines(record: dict, *extra: str) -> Callable[[], list[str]]:
-    """The poly output of a record: its spectrum's polynomial, then ``extra``."""
-    return lambda: [render_poly(record["spectrum"]["coeffs"]), *extra]
-
-
-def _tree_command(args, command: str, m: int, build, echo) -> tuple[dict, Callable[[], list[str]]]:
-    """The body of rm and tree: guard the length 2^m, build the tree, record
-    its weights up to --partial, with ``echo(tree)`` as the record's input,
-    and its generator matrix under --emit-generator."""
-    _tree_length(m, args.max_length)
-    tree = build()
+def _tree_record(args, command: str, tree, echo) -> dict:
+    """The record of rm and tree: the tree's weights up to --partial, with
+    ``echo`` as the record's input, and its generator matrix under
+    --emit-generator."""
     den, nums = ensemble_wef_int(tree, _max_weight(args.partial, tree.length))
-    spectrum = _spectrum_json(tree.length, den, nums)
-    record = _record(command, echo(tree), tree.dimension, spectrum, args.partial)
-    if not args.emit_generator:
-        return record, _poly_lines(record)
-    gen = generator_matrix(tree)
-    record["generator"] = gen.to_json_dict()
-    return record, _poly_lines(record, *gen.to_strings())
+    spectrum = spectrum_to_json(tree.length, den, nums)
+    record = _record(command, echo, tree.dimension, spectrum, args.partial)
+    if args.emit_generator:
+        record["generator"] = generator_matrix(tree).to_json_dict()
+    return record
 
 
-def _cmd_rm(args) -> tuple[dict, Callable[[], list[str]]]:
-    echo = {"rm": {"r": args.r, "m": args.m}}
-    build = functools.partial(rm_tree, args.r, args.m)
-    return _tree_command(args, "rm", args.m, build, lambda _: echo)
+def _cmd_rm(args) -> dict:
+    _tree_length(args.m, args.max_length)
+    tree = rm_tree(args.r, args.m)
+    return _tree_record(args, "rm", tree, {"rm": {"r": args.r, "m": args.m}})
 
 
-def _cmd_tree(args) -> tuple[dict, Callable[[], list[str]]]:
+def _cmd_tree(args) -> dict:
     obj = _load_json(args.tree_file)
-    build = functools.partial(tree_from_json_dict, obj)
-    return _tree_command(args, "tree", tree_json_depth(obj), build, tree_to_json_dict)
+    _tree_length(tree_json_depth(obj), args.max_length)
+    tree = tree_from_json_dict(obj)
+    return _tree_record(args, "tree", tree, tree_to_json_dict(tree))
 
 
 def _check_declared_length(obj, factor: int, max_length: int) -> None:
@@ -221,7 +201,7 @@ def _check_declared_length(obj, factor: int, max_length: int) -> None:
         _check_length(factor * n, max_length)
 
 
-def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
+def _cmd_combine(args) -> dict:
     u_obj, u_partial = _spectrum_obj(args.u_file)
     v_obj, v_partial = _spectrum_obj(args.v_file)
     for obj in (u_obj, v_obj):
@@ -242,12 +222,11 @@ def _cmd_combine(args) -> tuple[dict, Callable[[], list[str]]]:
         dimension = _dimension(sum(nums), den)
     else:
         dimension = None
-    spectrum = _spectrum_json(length, den, nums)
-    record = _record("combine", echo, dimension, spectrum, args.partial)
-    return record, _poly_lines(record)
+    spectrum = spectrum_to_json(length, den, nums)
+    return _record("combine", echo, dimension, spectrum, args.partial)
 
 
-def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
+def _cmd_oracle(args) -> dict:
     g0_obj = _load_json(args.g0_file)
     g1_obj = _load_json(args.g1_file)
     for obj in (g0_obj, g1_obj):
@@ -268,10 +247,10 @@ def _cmd_oracle(args) -> tuple[dict, Callable[[], list[str]]]:
         record["stderr"] = {
             str(w): stderrs[w] for w, c in enumerate(enum.coeffs) if c or stderrs[w]
         }
-    return record, lambda: [format_poly(enum)]
+    return record
 
 
-def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
+def _cmd_bound(args) -> dict:
     obj, partial = _spectrum_obj(args.spectrum_file)
     _check_declared_length(obj, 1, args.max_length)
     den, nums, spectrum = spectrum_from_json(obj)
@@ -295,7 +274,7 @@ def _cmd_bound(args) -> tuple[dict, Callable[[], list[str]]]:
         "truncate": args.truncate,
         "value": value,
     }
-    return record, lambda: [repr(value)]
+    return record
 
 
 def _print_csv(record: dict, out) -> None:
@@ -308,12 +287,27 @@ def _print_csv(record: dict, out) -> None:
         print(f"{w},{text}{tail}", file=out)
 
 
+def _print_poly(record: dict, out) -> None:
+    """The record's spectrum as a polynomial, then its generator rows if it
+    has them; a bound record prints its value alone."""
+    if "bound" in record:
+        print(repr(record["bound"]["value"]), file=out)
+        return
+    print(render_poly(record["spectrum"]["coeffs"]), file=out)
+    for row in record.get("generator", {}).get("rows", ()):
+        print(row, file=out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plotkin-wef",
         description="Exact ensemble weight enumerators for Plotkin-style constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_partial(p):
+        p.add_argument("--partial", type=int, default=None, metavar="W",
+                       help="compute and emit only weights <= W")
 
     def add_common(p):
         p.add_argument(
@@ -333,26 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm = sub.add_parser("rm", help="spectrum of the order-r depth-m tree ensemble")
     p_rm.add_argument("r", type=int)
     p_rm.add_argument("m", type=int)
-    p_rm.add_argument("--partial", type=int, default=None, metavar="W",
-                      help="compute and emit only weights <= W")
+    add_partial(p_rm)
     add_common(p_rm)
-    # rm shares tree's body, without its --emit-generator.
+    # rm shares tree's _tree_record, without its --emit-generator.
     p_rm.set_defaults(handler=_cmd_rm, emit_generator=False)
 
     p_tree = sub.add_parser("tree", help="spectrum of a tree given as JSON")
     p_tree.add_argument("tree_file")
     p_tree.add_argument("--emit-generator", action="store_true",
                         help="also emit the identity-permutation generator matrix")
-    p_tree.add_argument("--partial", type=int, default=None, metavar="W",
-                        help="compute and emit only weights <= W")
+    add_partial(p_tree)
     add_common(p_tree)
     p_tree.set_defaults(handler=_cmd_tree)
 
     p_comb = sub.add_parser("combine", help="combine two component spectra")
     p_comb.add_argument("u_file", help="spectrum JSON of the code supplying u")
     p_comb.add_argument("v_file", help="spectrum JSON of the code supplying v")
-    p_comb.add_argument("--partial", type=int, default=None, metavar="W",
-                        help="compute and emit only weights <= W")
+    add_partial(p_comb)
     add_common(p_comb)
     p_comb.set_defaults(handler=_cmd_combine)
 
@@ -399,8 +390,7 @@ def _main(argv) -> int:
     try:
         if args.max_length is None:
             args.max_length = _max_length_default()
-        record, human_lines = args.handler(args)
-        lines = human_lines() if args.format == "poly" else None
+        record = args.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -429,8 +419,7 @@ def _main(argv) -> int:
     elif args.format == "csv":
         _print_csv(record, sys.stdout)
     else:
-        for line in lines:
-            print(line)
+        _print_poly(record, sys.stdout)
     print(f"# elapsed {time.perf_counter() - started:.6f}s", file=sys.stderr)
     return 0
 

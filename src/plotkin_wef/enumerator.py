@@ -4,11 +4,13 @@ A ``WeightEnumerator`` records, for a length-n code or code ensemble, the
 number A_j of weight-j words for j = 0..n (an ensemble average in general,
 hence rational).  Values are immutable and safe to share.
 
-Spectrum JSON is parsed straight into integer form by ``spectrum_from_json``:
-a common denominator and integer numerators, plus the canonical JSON echo,
-without a Fraction per coefficient.  ``WeightEnumerator.from_json_dict``
-wraps it.  ``render_poly`` writes the polynomial text of those canonical
-coefficient texts; ``format_poly`` is that text of an enumerator.
+Spectrum JSON and the integer form ``(den, nums)`` (coefficient w is
+nums[w] / den) convert both ways without a Fraction per coefficient:
+``spectrum_from_json`` reads it, with the canonical JSON echo, and
+``spectrum_to_json`` is the one writer of that canonical JSON.
+``WeightEnumerator.from_json_dict`` and ``to_json_dict`` wrap the two.
+``render_poly`` writes the polynomial text of the canonical coefficient
+texts; ``format_poly`` is that text of an enumerator.
 """
 
 from __future__ import annotations
@@ -93,10 +95,7 @@ class WeightEnumerator:
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; zero coefficients omitted, values as strings."""
-        return {
-            "n": self.length,
-            "coeffs": {str(w): str(c) for w, c in enumerate(self.coeffs) if c},
-        }
+        return spectrum_to_json(self.length, *common_denominator(self.coeffs))
 
     @classmethod
     def from_json_dict(cls, obj) -> "WeightEnumerator":
@@ -143,8 +142,8 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
 
     Coefficient w is nums[w] / den for w = 0..n; ``den`` is the lcm of the
     reduced coefficient denominators, which is what ``common_denominator``
-    gives.  ``echo`` is the canonical JSON form that ``to_json_dict`` writes:
-    weights in increasing order, zeros omitted, values in lowest terms.
+    gives.  ``echo`` is the canonical JSON form that ``spectrum_to_json``
+    writes: weights in increasing order, zeros omitted, values in lowest terms.
     Values are integers or strings that ``Fraction`` reads ("p", "p/q",
     "1.5", ...); floats, negatives and zero denominators raise ValueError,
     other types TypeError.  A later key for the same weight overrides an
@@ -191,6 +190,23 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
         nums[w] = p if q == den else p * (den // q)
     echo = {"n": n, "coeffs": {str(w): terms[w][2] for w in weights}}
     return den, nums, echo
+
+
+def spectrum_to_json(length: int, den: int, nums) -> dict:
+    """Spectrum JSON of the coefficients nums[w] / den, the inverse of
+    ``spectrum_from_json``: weights in increasing order, zeros omitted,
+    values in lowest terms.  Each distinct nonzero numerator is reduced with
+    one gcd; a palindromic spectrum repeats nearly every numerator."""
+    coeffs = {}
+    texts = {}
+    for w, num in enumerate(nums):
+        if num:
+            text = texts.get(num)
+            if text is None:
+                g = math.gcd(num, den)
+                text = texts[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
+            coeffs[str(w)] = text
+    return {"n": length, "coeffs": coeffs}
 
 
 def parse_poly(text: str, length: int) -> WeightEnumerator:

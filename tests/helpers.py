@@ -1,9 +1,22 @@
 """Shared test utilities, independent of the package's own hot path."""
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 from plotkin_wef import BinaryMatrix, WeightEnumerator
+
+
+@contextlib.contextmanager
+def any_int_digits():
+    """Lift the int/str conversion limit for the test's own conversions."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def literal_combine(u_enum: WeightEnumerator, v_enum: WeightEnumerator) -> WeightEnumerator:

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import sys
@@ -6,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import any_int_digits
 from plotkin_wef import (
     BinaryMatrix,
     WeightEnumerator,
@@ -36,17 +36,6 @@ def write_record(capsys, path, *argv):
     assert code == 0, err
     path.write_text(out, encoding="utf-8")
     return str(path)
-
-
-@contextlib.contextmanager
-def any_int_digits():
-    """Lift the int/str conversion limit for the test's own conversions."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def refuse_parsing(obj):
@@ -724,7 +713,9 @@ class TestRoundTrips:
             "rm-partial": ["rm", "2", "4", "--partial", "6"],
             "tree": ["tree", tree, "--emit-generator"],
             "tree-partial": ["tree", tree, "--partial", "9"],
+            "combine": ["combine", u, v],
             "combine-partial": ["combine", u, v, "--partial", "6"],
+            "bound": ["bound", u, "--rate", "1/2", "--ebn0", "3", "--truncate", "4"],
             "oracle-exhaustive": ["oracle", g0, g1],
             "oracle-montecarlo": ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "40"],
         }[case]
@@ -732,8 +723,8 @@ class TestRoundTrips:
     @pytest.mark.parametrize(
         "case",
         [
-            "rm", "rm-partial", "tree", "tree-partial", "combine-partial",
-            "oracle-exhaustive", "oracle-montecarlo",
+            "rm", "rm-partial", "tree", "tree-partial", "combine", "combine-partial",
+            "bound", "oracle-exhaustive", "oracle-montecarlo",
         ],
     )
     def test_every_format_prints_the_same_spectrum(self, capsys, tmp_path, case):
@@ -743,8 +734,11 @@ class TestRoundTrips:
         record = json.loads(out)
         coeffs = record["spectrum"]["coeffs"]
         poly = run(capsys, *argv, "--format", "poly")[1].splitlines()
-        assert poly[0] == format_poly(WeightEnumerator.from_json_dict(record["spectrum"]))
-        assert poly[1:] == record.get("generator", {}).get("rows", [])
+        if case == "bound":
+            assert poly == [repr(record["bound"]["value"])]
+        else:
+            assert poly[0] == format_poly(WeightEnumerator.from_json_dict(record["spectrum"]))
+            assert poly[1:] == record.get("generator", {}).get("rows", [])
         csv = run(capsys, *argv, "--format", "csv")[1].splitlines()
         stderrs = record.get("stderr")
         if stderrs is None:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import any_int_digits
 from plotkin_wef import PolyParseError, WeightEnumerator, format_poly, parse_poly
-from plotkin_wef.enumerator import common_denominator, spectrum_from_json
+from plotkin_wef.enumerator import common_denominator, spectrum_from_json, spectrum_to_json
 
 
 def spectra(max_n=10):
@@ -205,3 +206,56 @@ def test_spectrum_from_json_matches_the_fraction_path(obj):
     den, nums, echo = spectrum_from_json(obj)
     assert ((den, nums), echo) == expected
     assert WeightEnumerator.from_json_dict(obj).to_json_dict() == echo
+
+
+huge = st.integers(10**4999, 10**5000 - 1)
+rational_coefficients = (
+    st.just(Fraction(0))
+    | st.integers(0, 10**30).map(Fraction)
+    | st.fractions(min_value=0, max_value=10**6, max_denominator=10**9)
+    | huge.map(Fraction)
+    | st.tuples(huge, st.integers(1, 10**9)).map(lambda pq: Fraction(*pq))
+)
+rational_enumerators = st.integers(0, 8).flatmap(
+    lambda n: st.lists(rational_coefficients, min_size=n + 1, max_size=n + 1).map(
+        lambda coeffs: WeightEnumerator(n, tuple(coeffs))
+    )
+)
+
+
+@given(rational_enumerators)
+@example(WeightEnumerator(0, (0,)))
+@example(WeightEnumerator(4, (0, 0, 0, 0, 0)))
+def test_to_json_dict_writes_each_coefficient_in_lowest_terms(enum):
+    # The reference: one str(Fraction) per nonzero coefficient.
+    with any_int_digits():
+        expected = {
+            "n": enum.length,
+            "coeffs": {str(w): str(c) for w, c in enumerate(enum.coeffs) if c},
+        }
+        assert enum.to_json_dict() == expected
+
+
+@st.composite
+def integer_forms(draw):
+    """(n, den, nums): coefficient w is nums[w] / den, not necessarily over
+    the least common denominator, and sometimes palindromic."""
+    n = draw(st.integers(0, 8))
+    den = draw(st.integers(1, 10**12))
+    nums = draw(
+        st.lists(st.just(0) | st.integers(0, 10**15), min_size=n + 1, max_size=n + 1)
+    )
+    if draw(st.booleans()):
+        nums = [nums[min(w, n - w)] for w in range(n + 1)]
+    scale = draw(st.sampled_from([1, 2, 6, 10**20]))
+    return n, den * scale, [num * scale for num in nums]
+
+
+@given(integer_forms())
+@example((3, 12, [0, 0, 0, 0]))
+@example((4, 6, [6, 3, 4, 3, 6]))
+def test_spectrum_to_json_is_inverted_by_spectrum_from_json(form):
+    n, den, nums = form
+    obj = spectrum_to_json(n, den, nums)
+    lcd_den, lcd_nums = common_denominator([Fraction(num, den) for num in nums])
+    assert spectrum_from_json(obj) == (lcd_den, lcd_nums, obj)
