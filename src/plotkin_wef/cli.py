@@ -168,11 +168,11 @@ def _max_weight(partial: int | None, length: int) -> int:
     return partial
 
 
-def _tree_record(args, command: str, tree, echo) -> dict:
-    """The record of rm and tree: the tree's weights up to --partial, with
-    ``echo`` as the record's input, and its generator matrix under
+def _tree_record(args, command: str, tree, echo, max_weight: int) -> dict:
+    """The record of rm and tree: the tree's weights up to ``max_weight``,
+    with ``echo`` as the record's input, and its generator matrix under
     --emit-generator."""
-    den, nums = ensemble_wef_int(tree, _max_weight(args.partial, tree.length))
+    den, nums = ensemble_wef_int(tree, max_weight)
     spectrum = spectrum_to_json(tree.length, den, nums)
     record = _record(command, echo, tree.dimension, spectrum, args.partial)
     if args.emit_generator:
@@ -181,16 +181,18 @@ def _tree_record(args, command: str, tree, echo) -> dict:
 
 
 def _cmd_rm(args) -> dict:
-    _tree_length(args.m, args.max_length)
+    max_weight = _max_weight(args.partial, _tree_length(args.m, args.max_length))
     tree = rm_tree(args.r, args.m)
-    return _tree_record(args, "rm", tree, {"rm": {"r": args.r, "m": args.m}})
+    echo = {"rm": {"r": args.r, "m": args.m}}
+    return _tree_record(args, "rm", tree, echo, max_weight)
 
 
 def _cmd_tree(args) -> dict:
     obj = _load_json(args.tree_file)
-    _tree_length(tree_json_depth(obj), args.max_length)
+    length = _tree_length(tree_json_depth(obj), args.max_length)
+    max_weight = _max_weight(args.partial, length)
     tree = tree_from_json_dict(obj)
-    return _tree_record(args, "tree", tree, tree_to_json_dict(tree))
+    return _tree_record(args, "tree", tree, tree_to_json_dict(tree), max_weight)
 
 
 def _check_declared_length(obj, factor: int, max_length: int) -> None:

@@ -20,6 +20,7 @@ plotkin.py); ``ensemble_wef_prefix`` and ``ensemble_wef`` wrap it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -109,7 +110,11 @@ def _rm_tree(r: int, m: int) -> CodeTree:
 
 
 def tree_from_active_set(m: int, active) -> CodeTree:
-    """Depth-m tree whose leaf i is active iff i is in ``active``."""
+    """Depth-m tree whose leaf i is active iff i is in ``active``.
+
+    Builds O(|active| * m) nodes: every index range without an active leaf
+    is the one all-frozen subtree of its depth.
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     limit = 1 << m
@@ -118,33 +123,45 @@ def tree_from_active_set(m: int, active) -> CodeTree:
         if not is_int(i) or not 0 <= i < limit:
             raise ValueError(f"leaf index {i!r} outside 0..{limit - 1}")
         active_set.add(i)
+    order = sorted(active_set)
 
-    leaves = (Leaf(False), Leaf(True))
     # Children are interned before their parent, so equal subtrees are one
     # object and the (left, right) key hashes and compares in O(1).
     interned: dict[tuple[CodeTree, CodeTree], Branch] = {}
 
-    def build(depth: int, base: int) -> CodeTree:
-        if depth == 0:
-            return leaves[base in active_set]
-        half = 1 << (depth - 1)
-        key = (build(depth - 1, base), build(depth - 1, base + half))
-        node = interned.get(key)
+    def branch(left: CodeTree, right: CodeTree) -> Branch:
+        node = interned.get((left, right))
         if node is None:
-            node = interned[key] = Branch(*key)
+            node = interned[left, right] = Branch(left, right)
         return node
 
-    return build(m, 0)
+    active_leaf, frozen = Leaf(True), [Leaf(False)]
+    for _ in range(m):
+        frozen.append(branch(frozen[-1], frozen[-1]))
+
+    def build(depth: int, base: int, i: int, j: int) -> CodeTree:
+        # order[i:j] are the active leaves in base..base + 2^depth - 1.
+        if i == j:
+            return frozen[depth]
+        if depth == 0:
+            return active_leaf
+        mid = base + (1 << (depth - 1))
+        cut = bisect_left(order, mid, i, j)
+        return branch(build(depth - 1, base, i, cut), build(depth - 1, mid, cut, j))
+
+    return build(m, 0, 0, len(order))
 
 
 def active_leaves(tree: CodeTree) -> tuple[int, ...]:
-    """Indices of the active leaves, in increasing order."""
+    """Indices of the active leaves, in increasing order; a subtree of
+    dimension 0 is skipped whole."""
     out: list[int] = []
 
     def walk(t: CodeTree, base: int) -> None:
+        if not t.dimension:
+            return
         if isinstance(t, Leaf):
-            if t.active:
-                out.append(base)
+            out.append(base)
             return
         walk(t.left, base)
         walk(t.right, base + t.left.length)

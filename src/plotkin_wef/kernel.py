@@ -38,26 +38,45 @@ a prefix and lo = hi a single weight.  With k = min(hi, n), a window reads
 so u, v_hat and the rows need the indices 0..k only.  A prefix 0..W
 (W <= n) costs about W^2/2 additions and W^2/2 products; one weight w costs
 about t^2/2 additions and at most t/2 + 1 products, t = min(w, 2n-w, k).
+
+A palindromic v_hat (v_hat[b] = v_hat[n-b]; v_hat[b] / v_num[b] depends on
+C(n, b) = C(n, n-b) only, so it is one iff the v-spectrum is, as for every
+code holding the all-ones word) makes every column one too:
+A_j(m) = A_j(n-j-m), as the substitution i -> j-i shows.  Complementing the
+v-word maps output weight w to 2n - w, so the output is a palindrome as
+well.  A window 0..hi with hi > n over such a v_hat therefore evaluates the
+weights 0..n, which read m <= (n-j)/2 of column j alone, and copies the
+weights n+1..hi from 2n-hi..n-1.  It keeps entries 0..(n-j)//2 of column j;
+when n-j is even the step from column j-1 reads one entry beyond its kept
+half, A_{j-1}((n-j)/2 + 1), which is the mirror of its last kept entry and
+is appended before the step.  Such a full combine costs (n/2 + 1)^2
+products at even n and about n^2/4 additions.
 """
 
 from operator import add, mul
 
 
 def combine_numerators(n, u, v_hat, rows, lo, hi):
-    out = [0] * (hi - lo + 1)
-    last = min(len(u) - 1, hi, 2 * n - lo)
+    # A full window over a palindromic v_hat: evaluate 0..n, mirror the rest.
+    half = lo == 0 and hi > n and v_hat[: n + 1] == v_hat[n::-1]
+    top = n if half else hi
+    out = [0] * (top - lo + 1)
+    last = min(len(u) - 1, top, 2 * n - lo)
     while last >= 0 and not u[last]:
         last -= 1
-    # a[i] holds A_j(s + i).
+    # a[i] holds A_j(s + i); under ``half`` only m <= (n - j)/2.
     s = max(0, (lo - last) // 2)
-    a = v_hat[s : (hi + last) // 2 + 1]
+    a = v_hat[s : (n // 2 if half else (top + last) // 2) + 1]
     for j in range(last + 1):
         if j:
+            if half and not (n - j) % 2:
+                # A_{j-1}((n-j)/2 + 1), the mirror of the last kept entry.
+                a.append(a[-1])
             a = [*map(add, a, a[1:])]
         if u[j]:
-            # The m of the weights j + 2m in lo..hi: first .. first + count - 1.
+            # The m of the weights j + 2m in lo..top: first .. first + count - 1.
             first = max(s, (lo - j + 1) // 2)
-            count = min(s + len(a), (hi - j) // 2 + 1) - first
+            count = min(s + len(a), (top - j) // 2 + 1) - first
             if count <= 0:
                 continue
             terms = map(
@@ -68,4 +87,7 @@ def combine_numerators(n, u, v_hat, rows, lo, hi):
             start = j + 2 * first - lo
             stop = start + 2 * count
             out[start:stop:2] = map(add, out[start:stop:2], terms)
+    if half:
+        # Complementing the v-word maps output weight w to 2n - w.
+        out += out[2 * n - hi : n][::-1]
     return out

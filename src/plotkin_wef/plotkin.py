@@ -22,9 +22,10 @@ maps v-weight b to n - b and output weight w to 2n - w, with the same
 probability.  So a palindromic v-spectrum (v_b = v_{n-b}, as for any code
 holding the all-ones word: every RM(r >= 0) node, every tree whose rightmost
 leaf is active) gives a palindromic output, out_w = out_{2n-w}, and
-``combine_int`` evaluates only the weights 0..n of it and mirrors the rest:
-(n/2 + 1)^2 products at even n instead of (n + 1)(n + 2)/2, with the same
-n^2/2 additions.  The symmetry is read off the data; nothing selects it.
+palindromic binomial-sum columns; on a full window the kernel evaluates the
+weights 0..n on half of each column and mirrors the rest, at
+(n/2 + 1)^2 products and about n^2/4 additions at even n.  The symmetry is
+read off the data; nothing selects it.
 
 Spectra travel in integer form: a ``(den, nums)`` pair, coefficient j being
 nums[j] / den.  ``combine_int`` is the one combine: it takes that form,
@@ -101,12 +102,9 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
 
     u enters the kernel as its integer numerators; ``scale`` = lcm(C(n, 0..k))
     makes every v_hat[b] = v_num[b] * scale / C(n, b) an integer, and the
-    closing denominator is u_den * v_den * scale.
-
-    A window 0..W with W > n reads all of v; when v is a palindrome the
-    output is one too, so the kernel evaluates the weights 0..n alone, at
-    (n/2 + 1)^2 products for even n instead of (n + 1)(n + 2)/2, and the
-    weights n+1..W are copied from 2n-W..n-1.
+    closing denominator is u_den * v_den * scale.  A window 0..W with
+    W > n reads all of v, and when v is a palindrome so is v_hat, which the
+    kernel reads off.
     """
     if n < 1:
         raise ValueError("component length must be >= 1")
@@ -123,12 +121,7 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
     row_n = rows[n]
     scale = math.lcm(*row_n[: k + 1])
     v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums)]
-    if min_weight == 0 and hi > n and v_nums == v_nums[::-1]:
-        # Complementing the v-word maps output weight w to 2n - w.
-        nums = kernel.combine_numerators(n, u_nums, v_hat, rows, 0, n)
-        nums += nums[2 * n - hi : n][::-1]
-    else:
-        nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min_weight, hi)
+    nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min_weight, hi)
     return _lowest_terms(u_den * v_den * scale, nums)
 
 

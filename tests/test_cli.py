@@ -629,6 +629,22 @@ class TestTree:
         code, _, err = run(capsys, "tree", path, "--partial", "17")
         assert (code, err.splitlines()[0]) == (2, "error: --partial 17 outside 0..16")
 
+    def test_sparse_deep_tree_checks_partial_before_building(self, capsys, tmp_path):
+        # Two active leaves at depth 40: the rows e_0 and the all-ones word.
+        m = 40
+        path = write_json(tmp_path / "t.json", {"m": m, "active": [(1 << m) - 1, 0]})
+        guard = ("--max-length", str(1 << m))
+        code, out, err = run(capsys, "tree", path, "--partial", "2", *guard, "--format", "json")
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["input"] == {"m": m, "active": [0, (1 << m) - 1]}
+        assert record["spectrum"]["coeffs"] == {"0": "1", "1": "1"}
+        assert record["dimension"] == 2
+        code, _, err = run(capsys, "tree", path, "--partial", str((1 << m) + 1), *guard)
+        assert (code, err.splitlines()[0]) == (
+            2, f"error: --partial {(1 << m) + 1} outside 0..{1 << m}"
+        )
+
     def test_partial_record_feeds_bound_up_to_its_weight(self, capsys, tmp_path):
         path = write_json(tmp_path / "t.json", {"m": 4, "active": [3, 5, 6, 7, 11, 13]})
         part = write_record(capsys, tmp_path / "p.json", "tree", path, "--partial", "6")

@@ -194,6 +194,29 @@ def test_tree_from_active_set_shares_equal_subtrees():
             assert by_value.setdefault(key, node) is node
 
 
+def test_sparse_active_set_builds_few_nodes():
+    """A depth-40 tree with three active leaves: every range without one is
+    the shared all-frozen subtree of its depth, so the build and the
+    active-leaf walk touch O(|active| * m) nodes, not 2^40."""
+    m = 40
+    active = (0, 5, (1 << m) - 1)
+    tree = tree_from_active_set(m, reversed(active))
+    assert (tree.length, tree.dimension) == (1 << m, 3)
+    assert active_leaves(tree) == active
+    distinct = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in distinct:
+            distinct[id(node)] = node
+            if isinstance(node, Branch):
+                stack += [node.left, node.right]
+    assert len(distinct) <= (len(active) + 1) * (m + 1)
+    assert tree.left.right is tree.right.left
+    assert (tree.right.left.length, tree.right.left.dimension) == (1 << (m - 2), 0)
+    assert tree_from_active_set(3, range(8)) == rm_tree(3, 3)
+
+
 def test_separately_built_trees_compare_and_hash_equal():
     rng = random.Random(5)
     for _ in range(10):

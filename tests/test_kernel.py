@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import tracemalloc
@@ -127,16 +128,9 @@ def test_output_parity_follows_u_weights(pair, parity):
         assert combine_single_weight(u, v, w) == 0
 
 
-@pytest.mark.parametrize("w", (64, 100))
-def test_single_weight_costs_one_diagonal(monkeypatch, w):
-    """One weight w does at most t/2 + 1 big-int products and about
-    (t+1)^2/2 additions, t = min(w, 2n - w, n); the prefix to w does
-    hundreds to thousands of products at n = 64."""
-    n = 64
-    rng = random.Random(w)
-    u = random_spectrum(rng, n, max_num=10**6, max_den=50)
-    v = random_spectrum(rng, n, max_num=10**6, max_den=50)
-    expected = combine(u, v).coeffs[w]
+def count_kernel_ops(monkeypatch):
+    """Count the kernel's big-int products and additions into the returned
+    dict, under "mul" and "add"."""
     counts = {"mul": 0, "add": 0}
 
     def counting(name, op):
@@ -147,6 +141,20 @@ def test_single_weight_costs_one_diagonal(monkeypatch, w):
 
     monkeypatch.setattr(kernel, "mul", counting("mul", kernel.mul))
     monkeypatch.setattr(kernel, "add", counting("add", kernel.add))
+    return counts
+
+
+@pytest.mark.parametrize("w", (64, 100))
+def test_single_weight_costs_one_diagonal(monkeypatch, w):
+    """One weight w does at most t/2 + 1 big-int products and about
+    (t+1)^2/2 additions, t = min(w, 2n - w, n); the prefix to w does
+    hundreds to thousands of products at n = 64."""
+    n = 64
+    rng = random.Random(w)
+    u = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    v = random_spectrum(rng, n, max_num=10**6, max_den=50)
+    expected = combine(u, v).coeffs[w]
+    counts = count_kernel_ops(monkeypatch)
     assert combine_single_weight(u, v, w) == expected
     t = min(w, 2 * n - w, n)
     assert counts["mul"] <= t // 2 + 1
@@ -154,28 +162,68 @@ def test_single_weight_costs_one_diagonal(monkeypatch, w):
 
 
 def test_palindromic_v_halves_the_products(monkeypatch):
-    """A palindromic v-spectrum gives a palindromic output, so the full
-    combine evaluates the weights 0..n only: (n/2 + 1)^2 products at even n
-    instead of (n + 1)(n + 2)/2.  One changed coefficient of v loses the
-    symmetry and restores the full count."""
+    """A palindromic v-spectrum gives a palindromic output and palindromic
+    binomial-sum columns, so the full combine evaluates the weights 0..n
+    only, on the entries m <= (n - j)/2 of column j: (n/2 + 1)^2 products
+    at even n instead of (n + 1)(n + 2)/2, and 1056 Pascal additions at
+    n = 64 instead of 2080.  One changed coefficient of v loses the symmetry
+    and restores the full counts."""
     n = 64
     rng = random.Random(64)
     u = random_spectrum(rng, n, max_num=10**6, max_den=50)
     half = random_spectrum(rng, n, max_num=10**6, max_den=50).coeffs
     palindromic = WeightEnumerator(n, half[: n // 2 + 1] + half[: n // 2][::-1])
     skewed = WeightEnumerator(n, palindromic.coeffs[:-1] + (palindromic.coeffs[-1] + 1,))
-    products = 0
-
-    def counting_mul(a, b):
-        nonlocal products
-        products += 1
-        return a * b
-
-    monkeypatch.setattr(kernel, "mul", counting_mul)
-    for v, expected_products in ((palindromic, 1089), (skewed, 2145)):
-        products = 0
+    counts = count_kernel_ops(monkeypatch)
+    # Every product is added into the output once; the rest of the
+    # additions are Pascal's.
+    for v, products, pascal in ((palindromic, 1089, 1056), (skewed, 2145, 2080)):
+        counts.update(mul=0, add=0)
         assert combine(u, v) == literal_combine(u, v)
-        assert products == expected_products
+        assert counts == {"mul": products, "add": products + pascal}
+
+
+def scaled_v_hat(n, v_nums, rows):
+    """``v_hat`` as combine_int builds it, over the scale lcm(C(n, 0..n))."""
+    scale = math.lcm(*rows[n])
+    return scale, [num * (scale // rows[n][b]) for b, num in enumerate(v_nums)]
+
+
+def unmirrored(n, u, v_hat, rows, hi):
+    """The window 0..hi as two windows that both keep whole columns."""
+    below = kernel.combine_numerators(n, u, v_hat, rows, 0, n)
+    return below + kernel.combine_numerators(n, u, v_hat, rows, n + 1, hi)
+
+
+@st.composite
+def palindromic_kernel_inputs(draw):
+    """Integer u with entries equal to 1 and, often, trailing zeros (its last
+    nonzero weight below n), and a palindromic integer v, at odd and even n."""
+    n = draw(st.integers(1, 17))
+    u = draw(st.lists(st.sampled_from((0, 1, 1, 2, 7, 10**9)), min_size=n + 1, max_size=n + 1))
+    zeros = draw(st.integers(0, n + 1))
+    u[n + 1 - zeros :] = [0] * zeros
+    half = draw(st.lists(st.integers(0, 20), min_size=n // 2 + 1, max_size=n // 2 + 1))
+    v = half + half[: (n + 1) // 2][::-1]
+    return n, u, v, draw(st.integers(n + 1, 2 * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(palindromic_kernel_inputs())
+def test_mirrored_kernel_matches_unmirrored_window_and_literal_sum(inputs):
+    """A window 0..hi (hi > n) over a palindromic v keeps half of every
+    binomial-sum column and mirrors the output; the same weights in two
+    windows keep whole columns, and the literal sum shares neither."""
+    n, u, v, hi = inputs
+    assert v == v[::-1]
+    rows = shared_table(n).rows
+    scale, v_hat = scaled_v_hat(n, v, rows)
+    nums = kernel.combine_numerators(n, u, v_hat, rows, 0, hi)
+    assert nums == unmirrored(n, u, v_hat, rows, hi)
+    expected = literal_combine(
+        WeightEnumerator(n, tuple(map(Fraction, u))), WeightEnumerator(n, tuple(map(Fraction, v)))
+    ).coeffs
+    assert [Fraction(num, scale) for num in nums] == list(expected[: hi + 1])
 
 
 def test_working_memory_is_linear_in_n():
@@ -262,3 +310,22 @@ def test_large_dense_prefix_matches_full_combine_and_literal_sum(n):
     assert prefix == out.coeffs[:65]
     for w in (0, 33, 63, 64):
         assert prefix[w] == literal_weight(u, v, w)
+
+
+@pytest.mark.parametrize("n", LARGE)
+def test_large_palindromic_combine_matches_unmirrored_window_and_literal_sum(n):
+    """The half-column path at the lengths of ``LARGE``, where the dense
+    pairs above never take it: a u with trailing zeros and entries 1, and
+    a palindromic v."""
+    rng = random.Random(n)
+    u = [rng.choice((0, 1, rng.randrange(10**6))) for _ in range(n - 2)] + [0, 0, 0]
+    half = [rng.randrange(1, 10**6) for _ in range(n // 2 + 1)]
+    v = half + half[: (n + 1) // 2][::-1]
+    rows = shared_table(n).rows
+    scale, v_hat = scaled_v_hat(n, v, rows)
+    nums = kernel.combine_numerators(n, u, v_hat, rows, 0, 2 * n)
+    assert nums == unmirrored(n, u, v_hat, rows, 2 * n)
+    u_enum = WeightEnumerator(n, tuple(map(Fraction, u)))
+    v_enum = WeightEnumerator(n, tuple(map(Fraction, v)))
+    for w in (0, 1, 64, n - 1, n, n + 1, 2 * n - 3, 2 * n):
+        assert Fraction(nums[w], scale) == literal_weight(u_enum, v_enum, w)
