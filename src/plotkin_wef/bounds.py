@@ -11,24 +11,23 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumerator import WeightEnumerator
+from .enumerator import Value, WeightEnumerator
 
 
-@dataclass(frozen=True)
-class ChannelPoint:
+class ChannelPoint(Value):
     """Operating point: code rate (info bits per channel bit) and Eb/N0 in dB."""
 
-    rate: float
-    ebn0_db: float
+    __slots__ = _fields = ("rate", "ebn0_db")
 
-    def __post_init__(self):
-        if not 0 < self.rate <= 1:
-            raise ValueError(f"rate must be in (0, 1], got {self.rate}")
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+    def __init__(self, rate: float, ebn0_db: float) -> None:
+        if not 0 < rate <= 1:
+            raise ValueError(f"rate must be in (0, 1], got {rate}")
+        if not math.isfinite(ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {ebn0_db}")
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "ebn0_db", ebn0_db)
 
 
 def q_function(x: float) -> float:

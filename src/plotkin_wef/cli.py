@@ -19,8 +19,9 @@ prints its value.
 Spectra stay in integer form, ``(den, nums)``, from input to output:
 combine and bound parse their spectrum files straight into that form
 (enumerator.spectrum_from_json, which also gives the canonical echo of the
-input), and enumerator.spectrum_to_json reduces each nonzero coefficient to
-lowest terms only when it is written out.  Fractions are built only by
+input; combine --partial W converts only the input weights up to W), and
+enumerator.spectrum_to_json reduces each nonzero coefficient to lowest
+terms only when it is written out.  Fractions are built only by
 oracle and by bound, for its rate and the weights 1..W that --truncate W
 reads.  Integers of any size are read and written: main lifts Python's limit
 on int/str conversion for the duration of the call.
@@ -208,8 +209,8 @@ def _cmd_combine(args) -> dict:
     v_obj, v_partial = _spectrum_obj(args.v_file)
     for obj in (u_obj, v_obj):
         _check_declared_length(obj, 2, args.max_length)
-    u_den, u_nums, u_echo = spectrum_from_json(u_obj)
-    v_den, v_nums, v_echo = spectrum_from_json(v_obj)
+    u_den, u_nums, u_echo = spectrum_from_json(u_obj, args.partial)
+    v_den, v_nums, v_echo = spectrum_from_json(v_obj, args.partial)
     n = len(u_nums) - 1
     if len(v_nums) - 1 != n:
         raise ValueError(f"component lengths differ: {n} vs {len(v_nums) - 1}")

@@ -21,17 +21,18 @@ plotkin.py); ``ensemble_wef_prefix`` and ``ensemble_wef`` wrap it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .enumerator import WeightEnumerator, is_int
+from .enumerator import Value, WeightEnumerator, is_int
 from .oracle import BinaryMatrix
 from .plotkin import combine_int
 
 
-class CodeTree:
+class CodeTree(Value):
     """Base class for Leaf and Branch; trees are immutable values."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -42,9 +43,21 @@ class CodeTree:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Leaf(CodeTree):
-    active: bool
+    __slots__ = _fields = ("active",)
+
+    def __init__(self, active: bool) -> None:
+        object.__setattr__(self, "active", active)
+
+    # Leaves and branches are built and hashed on every tree-building call,
+    # so both spell out their own equality and hash.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.active == other.active
+
+    def __hash__(self) -> int:
+        return hash((self.active,))
 
     @property
     def length(self) -> int:
@@ -55,37 +68,48 @@ class Leaf(CodeTree):
         return 1 if self.active else 0
 
 
-@dataclass(frozen=True)
 class Branch(CodeTree):
     """Internal node; its hash, length and dimension are computed once, at
     construction, from the children's, so none of them walks the subtree."""
 
-    left: CodeTree
-    right: CodeTree
+    _fields = ("left", "right")
+    __slots__ = (*_fields, "length", "dimension", "_hash")
 
-    def __post_init__(self):
-        length = self.left.length
-        if length != self.right.length:
+    def __init__(self, left: CodeTree, right: CodeTree) -> None:
+        length = left.length
+        if length != right.length:
             raise ValueError(
                 f"children have unequal lengths:"
-                f" {length} vs {self.right.length}"
+                f" {length} vs {right.length}"
             )
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-        object.__setattr__(self, "_length", 2 * length)
-        object.__setattr__(
-            self, "_dimension", self.left.dimension + self.right.dimension
-        )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "length", 2 * length)
+        object.__setattr__(self, "dimension", left.dimension + right.dimension)
+        object.__setattr__(self, "_hash", hash((left, right)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def length(self) -> int:
-        return self._length
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
+    def __eq__(self, other):
+        """Structural equality in O(distinct node pairs): each tree shares its
+        equal subtrees, so a pair of nodes met again is not compared again."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen = set()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a.__class__ is not b.__class__ or hash(a) != hash(b):
+                return False
+            if a.__class__ is Branch:
+                seen.add((id(a), id(b)))
+                pairs += (a.right, b.right), (a.left, b.left)
+            elif a != b:
+                return False
+        return True
 
 
 def rm_tree(r: int, m: int) -> CodeTree:

@@ -2,7 +2,8 @@
 
 A ``WeightEnumerator`` records, for a length-n code or code ensemble, the
 number A_j of weight-j words for j = 0..n (an ensemble average in general,
-hence rational).  Values are immutable and safe to share.
+hence rational).  Values are immutable and safe to share; ``Value`` is the
+base of the package's immutable value classes.
 
 Spectrum JSON and the integer form ``(den, nums)`` (coefficient w is
 nums[w] / den) convert both ways without a Fraction per coefficient:
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PolyParseError
@@ -55,25 +55,63 @@ def common_denominator(coeffs) -> tuple[int, list[int]]:
     return den, nums
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class Value:
+    """Base of the package's immutable value classes, which behave as frozen
+    dataclasses would: equal only to a value of the same class with equal
+    fields, hashed over the fields, shown as ``Name(field=value, ...)``.
+
+    A subclass names its constructor arguments in ``_fields``, holds them
+    in slots of those names and writes them in ``__init__`` with
+    ``object.__setattr__``; assignment and deletion raise AttributeError.
+    Pickle and ``copy`` rebuild a value through its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightEnumerator(Value):
     """Coefficients A_0..A_n of a length-n weight enumerator."""
 
-    length: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("length", "coeffs")
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-        coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.length + 1:
+    def __init__(self, length: int, coeffs) -> None:
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
+        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        if len(coeffs) != length + 1:
             raise ValueError(
-                f"length {self.length} needs {self.length + 1} coefficients,"
+                f"length {length} needs {length + 1} coefficients,"
                 f" got {len(coeffs)}"
             )
         for w, c in enumerate(coeffs):
             if c < 0:
                 raise ValueError(f"coefficient of x^{w} is negative: {c}")
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, w: int) -> Fraction:
@@ -136,7 +174,7 @@ def _parse_coefficient(value) -> tuple[int, int, str]:
     return c.numerator, c.denominator, str(c)
 
 
-def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
+def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[int], dict]:
     """Parse spectrum JSON, ``{"n": n, "coeffs": {"w": value, ...}}``, into
     integer form in one pass: ``(den, nums, echo)``.
 
@@ -148,6 +186,12 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
     "1.5", ...); floats, negatives and zero denominators raise ValueError,
     other types TypeError.  A later key for the same weight overrides an
     earlier one.
+
+    With ``max_weight`` W, only the coefficients 0..W are read: nums[w] is 0
+    for w > W and ``den`` is the lcm over the weights up to W.  Every value
+    is still validated and echoed, with the same errors in the same order,
+    but a plain digit string above W is echoed from its text, never
+    converted to an integer.
     """
     if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
         raise ValueError("enumerator JSON must have 'n' and 'coeffs' keys")
@@ -160,6 +204,7 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
     # Allocated before any value is read, so that a length no list can hold
     # fails first, whatever the values.
     nums = [0] * (n + 1)
+    top = n if max_weight is None else max_weight
     terms = {}
     # A palindromic spectrum spells A_w and A_{n-w} alike: its values are
     # parsed once per distinct string, and other spectra pay no lookups.
@@ -174,7 +219,11 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
             raise ValueError(f"weight {w} outside 0..{n}")
         if isinstance(value, float):
             raise ValueError(f"coefficient of x^{w} is a float; exact values only")
-        if parsed is not None and type(value) is str:
+        if w > top and type(value) is str and value.isascii() and value.encode().isdigit():
+            # Echoed only: 1 stands for any positive numerator.
+            text = value.lstrip("0")
+            terms[w] = (1, 1, text) if text else (0, 1, "0")
+        elif parsed is not None and type(value) is str:
             term = parsed.get(value)
             if term is None:
                 term = parsed[value] = _parse_coefficient(value)
@@ -182,12 +231,13 @@ def spectrum_from_json(obj) -> tuple[int, list[int], dict]:
         else:
             terms[w] = _parse_coefficient(value)
     weights = sorted(w for w, (p, _, _) in terms.items() if p)
-    den = math.lcm(*(terms[w][1] for w in weights))
+    den = math.lcm(*(terms[w][1] for w in weights if w <= top))
     for w in weights:
         p, q, text = terms[w]
         if p < 0:
             raise ValueError(f"coefficient of x^{w} is negative: {text}")
-        nums[w] = p if q == den else p * (den // q)
+        if w <= top:
+            nums[w] = p if q == den else p * (den // q)
     echo = {"n": n, "coeffs": {str(w): terms[w][2] for w in weights}}
     return den, nums, echo
 

@@ -19,12 +19,12 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterator, NamedTuple
 
-from .enumerator import WeightEnumerator, common_denominator, is_int
+from .enumerator import Value, WeightEnumerator, common_denominator, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
 BRUTE_FORCE_MAX_DIMENSION = 24
@@ -33,22 +33,21 @@ EXHAUSTIVE_MAX_DIMENSION = 16
 MONTE_CARLO_MAX_DIMENSION = 24
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(Value):
     """A k x n matrix over GF(2); each row is a bit-packed integer."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = _fields = ("n", "rows")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        rows = tuple(self.rows)
+    def __init__(self, n: int, rows) -> None:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        rows = tuple(rows)
         for r, row in enumerate(rows):
             # bit_length, not a comparison with 1 << n: n may be far too
             # large for that integer to exist.
-            if not isinstance(row, int) or row < 0 or row.bit_length() > self.n:
-                raise ValueError(f"row {r} does not fit in {self.n} columns")
+            if not isinstance(row, int) or row < 0 or row.bit_length() > n:
+                raise ValueError(f"row {r} does not fit in {n} columns")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -106,16 +105,14 @@ class BinaryMatrix:
         return cls.from_strings(obj["rows"], n)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection on {0..n-1}; coordinate j of the input goes to mapping[j]."""
 
-    mapping: tuple[int, ...]
+    __slots__ = _fields = ("mapping",)
 
-    def __post_init__(self):
-        mapping = tuple(self.mapping)
-        n = len(mapping)
-        if sorted(mapping) != list(range(n)):
+    def __init__(self, mapping) -> None:
+        mapping = tuple(mapping)
+        if sorted(mapping) != list(range(len(mapping))):
             raise ValueError("mapping is not a bijection on 0..n-1")
         object.__setattr__(self, "mapping", mapping)
 
@@ -237,9 +234,8 @@ def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumera
     return WeightEnumerator(2 * n, tuple(Fraction(t, n_fact) for t in totals))
 
 
-class MonteCarloEstimate(NamedTuple):
-    spectrum: WeightEnumerator
-    stderrs: tuple[float, ...]
+# spectrum: the mean WeightEnumerator; stderrs: a tuple of floats, one per weight.
+MonteCarloEstimate = namedtuple("MonteCarloEstimate", ["spectrum", "stderrs"])
 
 
 def ensemble_wef_montecarlo(

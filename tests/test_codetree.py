@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,24 @@ def test_separately_built_trees_compare_and_hash_equal():
     assert by_hand is not rm_tree(0, 2)
     assert by_hand == rm_tree(0, 2) and hash(by_hand) == hash(rm_tree(0, 2))
     assert by_hand != rm_tree(1, 2)
+
+
+def test_separately_built_deep_trees_compare_in_distinct_nodes():
+    # Each tree shares its equal subtrees but none with the other, so a
+    # comparison that walks every root-to-leaf path takes 2^24 steps.
+    a, b = tree_from_active_set(24, []), tree_from_active_set(24, [])
+    assert a is not b
+    started = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - started < 0.5
+    assert hash(a) == hash(b)
+    moved_a = tree_from_active_set(24, [5, 1 << 23])
+    moved_b = tree_from_active_set(24, [5, (1 << 23) + 1])
+    assert moved_a.dimension == moved_b.dimension
+    assert moved_a != moved_b and not moved_a == moved_b
+    assert tree_from_active_set(24, [5, 1 << 23]) == moved_a
+    # Equal hashes do not make equal trees: hash(-1) == hash(-2) in CPython.
+    assert Branch(Leaf(-1), Leaf(False)) != Branch(Leaf(-2), Leaf(False))
 
 
 def test_integer_recursion_keeps_least_common_denominators(monkeypatch):

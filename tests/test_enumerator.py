@@ -137,10 +137,12 @@ def test_str_is_poly_form():
     assert str(parse_poly("1 + 3x^2", 3)) == "1 + 3x^2"
 
 
-def fraction_path(obj):
+def fraction_path(obj, max_weight=None):
     """The spectrum read through one Fraction per coefficient, as
     ``from_json_dict`` read it before the integer-form parser: its
-    ``common_denominator`` and its canonical JSON, or the exception."""
+    ``common_denominator`` and its canonical JSON, or the exception.  With
+    ``max_weight`` W, the common denominator is that of the coefficients
+    0..W and the numerators above W are 0."""
     n = obj["n"]
     coeffs = [Fraction(0)] * (n + 1)
     for key, value in obj["coeffs"].items():
@@ -160,7 +162,9 @@ def fraction_path(obj):
                 f" got {type(value).__name__}"
             )
     enum = WeightEnumerator(n, tuple(coeffs))
-    return common_denominator(enum.coeffs), enum.to_json_dict()
+    top = n if max_weight is None else max(min(max_weight, n), -1)
+    den, nums = common_denominator(enum.coeffs[: top + 1])
+    return (den, nums + [0] * (n - top)), enum.to_json_dict()
 
 
 big = st.integers(0, 10**40)
@@ -194,16 +198,18 @@ def spectrum_json(draw):
     return {"n": n, "coeffs": draw(st.dictionaries(weights, values, max_size=n + 2))}
 
 
-@given(spectrum_json())
-def test_spectrum_from_json_matches_the_fraction_path(obj):
+@given(spectrum_json(), st.none() | st.integers(-1, 7))
+@example({"n": 5, "coeffs": {"0": "1", "1": "2/3", "2": "007", "3": "00", "4": "5/10", "5": 9}}, 1)
+@example({"n": 2, "coeffs": {"0": "1", "1": "-1", "2": "x"}}, 0)
+def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     try:
-        expected = fraction_path(obj)
+        expected = fraction_path(obj, max_weight)
     except (ValueError, TypeError) as exc:
         with pytest.raises(type(exc)) as excinfo:
-            spectrum_from_json(obj)
+            spectrum_from_json(obj, max_weight)
         assert str(excinfo.value) == str(exc)
         return
-    den, nums, echo = spectrum_from_json(obj)
+    den, nums, echo = spectrum_from_json(obj, max_weight)
     assert ((den, nums), echo) == expected
     assert WeightEnumerator.from_json_dict(obj).to_json_dict() == echo
 
