@@ -11,7 +11,9 @@ variable.  combine, oracle and bound check the length n that each input file
 declares before they build its spectrum or matrix.
 
 Each command is a function from its parsed arguments to one JSON record,
-and main renders json, csv and poly from that record alone: the poly line is
+and main renders json, csv and poly from that record alone: the JSON text
+is what enumerator.dump_json writes, json.dumps(record, indent=2) with the
+canonical coefficient blocks written unescaped; the poly line is
 enumerator.render_poly of the record's canonical coefficient texts, followed
 by the generator rows that tree --emit-generator adds, and a bound record
 prints its value.
@@ -56,7 +58,14 @@ from .codetree import (
     tree_to_json_dict,
 )
 from .enumerator import format_poly  # noqa: F401
-from .enumerator import WeightEnumerator, is_int, render_poly, spectrum_from_json, spectrum_to_json
+from .enumerator import (
+    WeightEnumerator,
+    dump_json,
+    is_int,
+    render_poly,
+    spectrum_from_json,
+    spectrum_to_json,
+)
 from .errors import BudgetError
 from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
 from .plotkin import combine, combine_int, combine_single_weight  # noqa: F401
@@ -418,7 +427,8 @@ def _main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(record, indent=2))
+        dump_json(record, sys.stdout)
+        print()
     elif args.format == "csv":
         _print_csv(record, sys.stdout)
     else:

@@ -6,6 +6,7 @@ Everything here runs on Python's arbitrary-precision integers and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -72,10 +73,13 @@ def shared_table(min_n: int) -> BinomialTable:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; returns 0 when k < 0 or k > n."""
+    """C(n, k) for n >= 0; returns 0 when k < 0 or k > n.
+
+    One value, from ``math.comb``: the shared table is not grown for it.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return shared_table(n).binomial(n, k)
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:
@@ -92,7 +96,9 @@ def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:
                          C(n, v_weight) * C(n, w-2*v_only)
 
     which is nonnegative and finite everywhere on the argument box validated
-    below (the denominator binomials cannot vanish there).
+    below (the denominator binomials cannot vanish there, and every binomial
+    is inside its support).  The five binomials come from ``math.comb``; the
+    shared table is not grown for them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -108,12 +114,7 @@ def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:
             f"v_only={v_only} outside {lo}..{min(v_weight, w - v_weight)}"
             f" for n={n}, w={w}, v_weight={v_weight}"
         )
-    table = shared_table(n)
     a = w - v_weight
-    numerator = (
-        table.binomial(n, a)
-        * table.binomial(a, v_only)
-        * table.binomial(n - a, v_weight - v_only)
-    )
-    denominator = table.binomial(n, v_weight) * table.binomial(n, w - 2 * v_only)
+    numerator = math.comb(n, a) * math.comb(a, v_only) * math.comb(n - a, v_weight - v_only)
+    denominator = math.comb(n, v_weight) * math.comb(n, w - 2 * v_only)
     return Fraction(numerator, denominator)

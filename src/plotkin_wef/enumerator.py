@@ -10,12 +10,16 @@ nums[w] / den) convert both ways without a Fraction per coefficient:
 ``spectrum_from_json`` reads it, with the canonical JSON echo, and
 ``spectrum_to_json`` is the one writer of that canonical JSON.
 ``WeightEnumerator.from_json_dict`` and ``to_json_dict`` wrap the two.
+The "coeffs" block both make is a ``CanonicalCoeffs``, whose keys and texts
+need no JSON escaping, and ``dump_json`` writes the text of
+``json.dump(obj, fp, indent=2)`` with those blocks spliced in unescaped.
 ``render_poly`` writes the polynomial text of the canonical coefficient
 texts; ``format_poly`` is that text of an enumerator.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -144,6 +148,18 @@ class WeightEnumerator(Value):
         return format_poly(self)
 
 
+class CanonicalCoeffs(dict):
+    """The "coeffs" of canonical spectrum JSON, ``{str(w): text}``, as
+    ``spectrum_to_json`` and the echo of ``spectrum_from_json`` make it.
+
+    Every key is the decimal text of a weight and every value the decimal
+    text of an integer or of a fraction p/q, by construction, so JSON
+    escapes neither; ``dump_json`` relies on that.  Otherwise a plain dict.
+    """
+
+    __slots__ = ()
+
+
 def _parse_coefficient(value) -> tuple[int, int, str]:
     """(p, q, text): a coefficient as p / q in lowest terms, q > 0, and its
     canonical text str(Fraction(p, q)).
@@ -238,7 +254,7 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
             raise ValueError(f"coefficient of x^{w} is negative: {text}")
         if w <= top:
             nums[w] = p if q == den else p * (den // q)
-    echo = {"n": n, "coeffs": {str(w): terms[w][2] for w in weights}}
+    echo = {"n": n, "coeffs": CanonicalCoeffs({str(w): terms[w][2] for w in weights})}
     return den, nums, echo
 
 
@@ -247,7 +263,7 @@ def spectrum_to_json(length: int, den: int, nums) -> dict:
     ``spectrum_from_json``: weights in increasing order, zeros omitted,
     values in lowest terms.  Each distinct nonzero numerator is reduced with
     one gcd; a palindromic spectrum repeats nearly every numerator."""
-    coeffs = {}
+    coeffs = CanonicalCoeffs()
     texts = {}
     for w, num in enumerate(nums):
         if num:
@@ -257,6 +273,42 @@ def spectrum_to_json(length: int, den: int, nums) -> dict:
                 text = texts[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
             coeffs[str(w)] = text
     return {"n": length, "coeffs": coeffs}
+
+
+def dump_json(obj, fp) -> None:
+    """Write to the text stream ``fp`` what ``json.dump(obj, fp, indent=2)``
+    writes, byte for byte.
+
+    A ``CanonicalCoeffs`` block is joined from its texts without escaping
+    them, and a plain dict with string keys is written key by key, so that
+    the blocks inside it are found; everything else goes through
+    ``json.dumps``.  Escaping megabytes of digits is most of what
+    ``json.dumps`` spends on a record.  The pieces go to ``fp`` as they
+    are, never joined into one copy of the whole text.
+    """
+    parts = []
+    _dump(obj, "\n", parts)
+    fp.writelines(parts)
+
+
+def _dump(obj, newline: str, parts: list) -> None:
+    # ``newline`` starts the line that closes ``obj``: "\n" and the
+    # indentation json.dumps(..., indent=2) gives that line.
+    inner = newline + "  "
+    if type(obj) is CanonicalCoeffs and obj:
+        pairs = ('",' + inner + '"').join(map('": "'.join, obj.items()))
+        parts += "{", inner, '"', pairs, '"', newline, "}"
+    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts += sep, json.dumps(key), ": "
+            _dump(value, inner, parts)
+            sep = "," + inner
+        parts += newline, "}"
+    else:
+        # json.dumps escapes every newline inside a string, so each "\n"
+        # of its text starts a line.
+        parts.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
 def parse_poly(text: str, length: int) -> WeightEnumerator:

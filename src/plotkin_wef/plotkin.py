@@ -16,6 +16,9 @@ of output weight w is sum_j u[j] C(n-j, m) A_j(m), where the binomial sums
 A_j(m) = sum_i C(j, i) v_hat[m+i] obey Pascal's rule in j (kernel.py): a
 full combine costs about n^2/2 big-int products and n^2/2 additions.
 Integer arithmetic is exact, so results never depend on evaluation order.
+The binomial rows, the scale and the multipliers scale / C(n, b) depend on
+n and the highest component weight k alone: they form the combine plan of
+(n, k), built once and kept among the last few (``_plan``).
 
 Complementing the v-word (v -> v + 1, and perm(1) = 1) keeps the u-weight j,
 maps v-weight b to n - b and output weight w to 2n - w, with the same
@@ -47,8 +50,10 @@ tree recursion.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from operator import add, mul
 
 from . import kernel
 from .combinatorics import shared_table
@@ -56,20 +61,40 @@ from .enumerator import WeightEnumerator, common_denominator
 
 
 def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
-    """Entries 0..k of rows n-k..n, keyed by row (2k < n).
+    """Rows n-k..n, keyed by row, as far as a window of output weights <= k
+    reads them (2k < n): entries 0..(k-j)//2 of row n-j for j >= 1, and
+    entries 0..k of row n, whose lcm is the scale.
 
-    Exactly what the kernel and the scale read for output weights <= k; the
-    rows start from C(n-k, 0..k) and grow by Pascal's rule restricted to 0..k.
+    Each row is Pascal's rule over the one below it, which gives as many
+    entries as that row has; the rest come from C(a, b) = C(a, b-1) (a-b+1) / b.
+    That is about k^2/4 integers, not (k+1)^2.
     """
-    a = n - k
-    row = [1] * (k + 1)
-    for b in range(1, k + 1):
-        row[b] = row[b - 1] * (a - b + 1) // b
-    rows = {a: row}
-    for a in range(n - k + 1, n + 1):
-        row = [1] + [row[b - 1] + row[b] for b in range(1, k + 1)]
+    rows = {}
+    row = []
+    for a in range(n - k, n + 1):
+        row = [1, *map(add, row, row[1:])]
+        top = k if a == n else (k - n + a) // 2
+        for b in range(len(row), top + 1):
+            row.append(row[-1] * (a - b + 1) // b)
         rows[a] = row
     return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, k: int) -> tuple:
+    """The combine plan of length n over the component weights 0..k:
+    ``(rows, scale, mults)``, with ``rows[a]`` holding C(a, .) as far as the
+    kernel reads it, scale = lcm(C(n, 0..k)) and mults[b] = scale // C(n, b).
+
+    A plan depends on (n, k) only, and a tree recursion meets the same pair
+    at every node of a level, so the last 64 plans are kept; every
+    caller gets the same lists, which nothing writes to.  A full plan
+    (2k >= n) holds the rows of the shared table, copying none.
+    """
+    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
+    row_n = rows[n][: k + 1]
+    scale = math.lcm(*row_n)
+    return rows, scale, [*map(scale.__floordiv__, row_n)]
 
 
 def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> int:
@@ -117,10 +142,8 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
         raise ValueError(f"component spectra need coefficients 0..{k}")
     u_den, u_nums = _lowest_terms(u_den, u_nums[: k + 1])
     v_den, v_nums = _lowest_terms(v_den, v_nums[: k + 1])
-    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
-    row_n = rows[n]
-    scale = math.lcm(*row_n[: k + 1])
-    v_hat = [num * (scale // row_n[b]) for b, num in enumerate(v_nums)]
+    rows, scale, mults = _plan(n, k)
+    v_hat = [*map(mul, v_nums, mults)]
     nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min_weight, hi)
     return _lowest_terms(u_den * v_den * scale, nums)
 

@@ -112,3 +112,27 @@ def test_vandermonde_identity():
                     for i in range(wv + 1)
                 )
                 assert total == binomial(n, wv)
+
+
+def test_binomial_and_plotkin_coefficient_do_not_grow_the_table():
+    before = shared_table(0).max_n
+    n = before + 1000
+    assert binomial(n, 3) == multiplicative_binomial(n, 3)
+    assert binomial(n, n + 1) == 0 and binomial(n, -2) == 0
+    assert plotkin_coefficient(n, 3, 1, 1) == Fraction(n - 1, n)
+    assert shared_table(0).max_n == before
+
+
+def test_plotkin_coefficient_matches_the_table_formula():
+    table = BinomialTable(9)
+    b = table.binomial
+    for n in range(1, 10):
+        for w in range(2 * n + 1):
+            lo = max(0, w - n)
+            for wv in range(lo, min(w, n) + 1):
+                for vo in range(lo, min(wv, w - wv) + 1):
+                    a = w - wv
+                    expected = Fraction(
+                        b(n, a) * b(a, vo) * b(n - a, wv - vo), b(n, wv) * b(n, w - 2 * vo)
+                    )
+                    assert plotkin_coefficient(n, w, wv, vo) == expected

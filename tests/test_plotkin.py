@@ -1,9 +1,10 @@
+import math
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,7 +21,10 @@ from plotkin_wef import (
     combine_single_weight,
     exact_wef_bruteforce,
     min_distance_combine,
+    kernel,
     parse_poly,
+    plotkin,
+    shared_table,
 )
 
 EX1_U = parse_poly("1 + x^3", 3)  # [3,1,3] repetition code
@@ -158,3 +162,74 @@ def test_combine_is_deterministic():
     second = combine(u, v)
     assert first == second
     assert [str(c) for c in first.coeffs] == [str(c) for c in second.coeffs]
+
+
+# Combine plans: one per (n, k), with rows as far as the kernel reads them.
+
+
+def fresh_inputs(n, k, v_nums):
+    """All rows 0..n, the scale and v_hat, built from math.comb alone."""
+    rows = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
+    scale = math.lcm(*(math.comb(n, b) for b in range(k + 1)))
+    return rows, scale, [num * (scale // math.comb(n, b)) for b, num in enumerate(v_nums)]
+
+
+def windows(n, k):
+    """The prefix and single-weight windows whose component weights are 0..k."""
+    weights = [k] if k < n else [n, 2 * n, (3 * n + 1) // 2]
+    return [(lo, w) for w in weights for lo in (0, w)]
+
+
+@st.composite
+def plan_cases(draw):
+    n = draw(st.integers(1, 48))
+    k = draw(st.sampled_from([0, n // 2, (n - 1) // 2, n]) | st.integers(0, n))
+    return n, k, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_cases())
+@example((1, 0, 1))
+@example((1, 1, 2))
+@example((8, 4, 3))
+@example((9, 4, 4))
+@example((40, 0, 5))
+@example((40, 20, 6))
+@example((41, 7, 7))
+def test_plan_gives_the_kernel_what_fresh_rows_give(case):
+    n, k, seed = case
+    rng = random.Random(seed)
+    u = [rng.choice([0, 1, rng.getrandbits(60)]) for _ in range(k + 1)]
+    v = [rng.choice([0, 1, rng.getrandbits(60)]) for _ in range(n + 1)]
+    if rng.random() < 0.5:
+        v = [max(a, b) for a, b in zip(v, reversed(v))]  # palindromic: mirrored kernel
+    v = v[: k + 1]
+    rows, scale, mults = plotkin._plan(n, k)
+    assert plotkin._plan(n, k) is plotkin._plan(n, k)
+    fresh_rows, fresh_scale, fresh_v_hat = fresh_inputs(n, k, v)
+    assert scale == fresh_scale
+    v_hat = [num * mult for num, mult in zip(v, mults)]
+    assert v_hat == fresh_v_hat
+    for lo, hi in windows(n, k):
+        got = kernel.combine_numerators(n, u, v_hat, rows, lo, hi)
+        assert got == kernel.combine_numerators(n, u, fresh_v_hat, fresh_rows, lo, hi)
+
+
+@pytest.mark.parametrize("n, k", [(1024, 64), (1023, 64), (512, 31), (300, 149)])
+def test_truncated_plan_holds_about_k_squared_over_4_entries(n, k):
+    rows, scale, mults = plotkin._plan.__wrapped__(n, k)
+    # Entries 0..(k-j)//2 of row n-j for j = 1..k, and 0..k of row n.
+    assert sorted(rows) == list(range(n - k, n + 1))
+    assert [len(rows[n - j]) for j in range(1, k + 1)] == [(k - j) // 2 + 1 for j in range(1, k + 1)]
+    assert rows[n] == [math.comb(n, b) for b in range(k + 1)]
+    for a, row in rows.items():
+        assert row == [math.comb(a, b) for b in range(len(row))]
+    entries = sum(map(len, rows.values()))
+    assert k * k / 4 < entries <= k * k / 4 + 2 * (k + 1)
+    assert scale == math.lcm(*rows[n]) and mults == [scale // c for c in rows[n]]
+
+
+def test_full_plan_copies_no_rows():
+    rows, _, mults = plotkin._plan.__wrapped__(64, 40)
+    assert rows is shared_table(64).rows
+    assert len(mults) == 41
