@@ -423,7 +423,8 @@ def _main(argv) -> int:
             file=sys.stderr,
         )
         return 3
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError is a ValueError.
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

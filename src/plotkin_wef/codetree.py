@@ -34,14 +34,6 @@ class CodeTree(Value):
 
     __slots__ = ()
 
-    @property
-    def length(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def dimension(self) -> int:
-        raise NotImplementedError
-
 
 class Leaf(CodeTree):
     __slots__ = _fields = ("active",)

@@ -35,9 +35,18 @@ a prefix and lo = hi a single weight.  With k = min(hi, n), a window reads
 - entries s..min(k - j, (hi - j)/2) of rows[n-j] for j <= last (rows[a]
   holds C(a, .); nothing else of ``rows`` needs to exist);
 
-so u, v_hat and the rows need the indices 0..k only.  A prefix 0..W
+so u, v_hat and the rows need the indices 0..k only.  ``u`` may be
+longer than k+1, as a whole length-n spectrum under a window hi < n is:
+``last`` never exceeds k, so nothing past u[k] is read.  A prefix 0..W
 (W <= n) costs about W^2/2 additions and W^2/2 products; one weight w costs
 about t^2/2 additions and at most t/2 + 1 products, t = min(w, 2n-w, k).
+
+Column j adds to the weights j + 2m for the ``count`` values of m from
+``first`` = max(s, ceil((lo-j)/2)) on, up to the lesser of the window's top,
+(top-j)/2, and the column's last kept entry.  Neither bound falls below
+``first``, since j <= last <= top and lo + last <= 2k, so the count is never
+negative; it is 0 only where no weight of the window has j's parity (lo = hi),
+and then every slice it cuts is empty.
 
 A palindromic v_hat (v_hat[b] = v_hat[n-b]; v_hat[b] / v_num[b] depends on
 C(n, b) = C(n, n-b) only, so it is one iff the v-spectrum is, as for every
@@ -61,7 +70,7 @@ def combine_numerators(n, u, v_hat, rows, lo, hi):
     half = lo == 0 and hi > n and v_hat[: n + 1] == v_hat[n::-1]
     top = n if half else hi
     out = [0] * (top - lo + 1)
-    last = min(len(u) - 1, top, 2 * n - lo)
+    last = min(top, n, 2 * n - lo)
     while last >= 0 and not u[last]:
         last -= 1
     # a[i] holds A_j(s + i); under ``half`` only m <= (n - j)/2.
@@ -77,16 +86,12 @@ def combine_numerators(n, u, v_hat, rows, lo, hi):
             # The m of the weights j + 2m in lo..top: first .. first + count - 1.
             first = max(s, (lo - j + 1) // 2)
             count = min(s + len(a), (top - j) // 2 + 1) - first
-            if count <= 0:
-                continue
             terms = map(
                 mul, a[first - s : first - s + count], rows[n - j][first : first + count]
             )
-            if u[j] != 1:
-                terms = map(u[j].__mul__, terms)
             start = j + 2 * first - lo
             stop = start + 2 * count
-            out[start:stop:2] = map(add, out[start:stop:2], terms)
+            out[start:stop:2] = map(add, out[start:stop:2], map(u[j].__mul__, terms))
     if half:
         # Complementing the v-word maps output weight w to 2n - w.
         out += out[2 * n - hi : n][::-1]

@@ -32,11 +32,13 @@ read off the data; nothing selects it.
 
 Spectra travel in integer form: a ``(den, nums)`` pair, coefficient j being
 nums[j] / den.  ``combine_int`` is the one combine: it takes that form,
-reduces each input prefix and its output by one gcd to the least common
-denominator, and makes the one kernel call, so a tree recursion
-(codetree.ensemble_wef_int) and the CLI never build a Fraction per
-coefficient.  ``combine``, ``combine_prefix`` and ``combine_single_weight``
-are Fraction views of it for the public API.
+makes the one kernel call and reduces its output by one gcd to the least
+common denominator, so a tree recursion (codetree.ensemble_wef_int) and the
+CLI never build a Fraction per coefficient.  Its callers hand it each input
+prefix in lowest terms already (enumerator.spectrum_from_json, the output of
+an earlier ``combine_int``, enumerator.common_denominator), so nothing is
+reduced on the way in.  ``combine``, ``combine_prefix`` and
+``combine_single_weight`` are Fraction views of it for the public API.
 
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
@@ -105,20 +107,13 @@ def _common_length(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -
     return u_spectrum.length
 
 
-def _lowest_terms(den: int, nums: list[int]) -> tuple[int, list[int]]:
-    """``(den, nums)`` over its least common denominator: one gcd divides out."""
-    g = math.gcd(den, *nums)
-    if g == 1:
-        return den, nums
-    return den // g, [num // g for num in nums]
-
-
 def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int, list[int]]:
     """Integer form of the combine: ``(den, nums)`` in, ``(den, nums)`` out.
 
     ``u`` and ``v`` are length-n spectra as ``(den, nums)`` pairs, coefficient
     j being nums[j] / den; only nums[0..k], k = min(max_weight, n), are read,
-    and that prefix of each is first reduced to its least common denominator.
+    and the caller hands that prefix of each over its least common
+    denominator: gcd(den, *nums[:k + 1]) == 1.  Only the output is reduced.
     The result holds the coefficients of x^min_weight..x^min(max_weight, 2n)
     over their least common denominator: ``den`` is the lcm of the reduced
     coefficient denominators, which is what ``enumerator.common_denominator``
@@ -140,12 +135,25 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
     (u_den, u_nums), (v_den, v_nums) = u, v
     if len(u_nums) <= k or len(v_nums) <= k:
         raise ValueError(f"component spectra need coefficients 0..{k}")
-    u_den, u_nums = _lowest_terms(u_den, u_nums[: k + 1])
-    v_den, v_nums = _lowest_terms(v_den, v_nums[: k + 1])
     rows, scale, mults = _plan(n, k)
+    # mults has k + 1 entries, so v_hat stops at weight k.
     v_hat = [*map(mul, v_nums, mults)]
     nums = kernel.combine_numerators(n, u_nums, v_hat, rows, min_weight, hi)
-    return _lowest_terms(u_den * v_den * scale, nums)
+    den = u_den * v_den * scale
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, [num // g for num in nums]
+
+
+def _window(n: int, u_coeffs, v_coeffs, lo: int, hi: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^lo..x^min(hi, 2n) of the combine of two length-n
+    spectra given as coefficient sequences, read up to weight min(hi, n)."""
+    k = min(hi, n) + 1
+    den, nums = combine_int(
+        n, common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k]), hi, lo
+    )
+    return tuple(Fraction(num, den) for num in nums)
 
 
 def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fraction, ...]:
@@ -156,11 +164,7 @@ def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fractio
     so prefixes of that length suffice.  One kernel call evaluates every
     requested weight.
     """
-    k = min(max_weight, n) + 1
-    den, nums = combine_int(
-        n, common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k]), max_weight
-    )
-    return tuple(Fraction(num, den) for num in nums)
+    return _window(n, u_coeffs, v_coeffs, 0, max_weight)
 
 
 def combine(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> WeightEnumerator:
@@ -186,15 +190,8 @@ def combine_single_weight(
     reads) and at most t/2 + 1 products.
     """
     n = _common_length(u_spectrum, v_spectrum)
-    k = min(w, n) + 1
-    den, (num,) = combine_int(
-        n,
-        common_denominator(u_spectrum.coeffs[:k]),
-        common_denominator(v_spectrum.coeffs[:k]),
-        w,
-        w,
-    )
-    return Fraction(num, den)
+    (coeff,) = _window(n, u_spectrum.coeffs, v_spectrum.coeffs, w, w)
+    return coeff
 
 
 def min_distance_combine(d_u: int, d_v: int) -> int:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -17,6 +18,7 @@ from plotkin_wef import (
     BinaryMatrix,
     RankDeficiencyWarning,
     WeightEnumerator,
+    cli,
     combine,
     combine_single_weight,
     exact_wef_bruteforce,
@@ -233,3 +235,56 @@ def test_full_plan_copies_no_rows():
     rows, _, mults = plotkin._plan.__wrapped__(64, 40)
     assert rows is shared_table(64).rows
     assert len(mults) == 41
+
+
+# combine_int reduces only its output: every caller hands it each input prefix
+# 0..k over its least common denominator.  Outputs stay exact either way, so
+# only the inputs show a caller that breaks the contract.
+
+
+def spelled(rng, p, q):
+    """p/q in a random exact spelling: unreduced, zero-padded or canonical."""
+    g = rng.choice([1, 2, 3])
+    if q == 1 and g == 1:
+        return rng.choice([str(p), f"0{p}", p])
+    return f"{p * g}/{q * g}"
+
+
+def test_combine_int_receives_lowest_terms_prefixes(monkeypatch, tmp_path):
+    seen = []
+    original = plotkin.combine_int
+
+    def recording(n, u, v, max_weight, min_weight=0):
+        seen.append((min(max_weight, n), u, v))
+        return original(n, u, v, max_weight, min_weight)
+
+    monkeypatch.setattr(cli, "combine_int", recording)
+    monkeypatch.setattr(plotkin, "combine_int", recording)
+    rng = random.Random(2718)
+    for n in (1, 4, 6, 9):
+        paths = []
+        for kind in ("int", "rat", "rat"):
+            coeffs = {}
+            for j in range(n + 1):
+                p = rng.randint(0, 20)
+                q = 1 if kind == "int" else rng.choice([1, 2, 3, 4, 6])
+                if p or rng.random() < 0.3:
+                    coeffs[str(j)] = spelled(rng, p, q)
+            path = tmp_path / f"{n}-{len(paths)}.json"
+            path.write_text(json.dumps({"n": n, "coeffs": coeffs}), encoding="utf-8")
+            paths.append(str(path))
+        for u_path in paths:
+            for v_path in paths:
+                for partial in ([], ["--partial", "0"], ["--partial", str(n // 2)],
+                                ["--partial", str(n + 1)]):
+                    assert cli.main(["combine", u_path, v_path, *partial]) == 0
+        for _ in range(4):
+            u, v = random_spectrum(rng, n), random_spectrum(rng, n)
+            for w in (0, n // 2, n, 2 * n):
+                plotkin.combine_prefix(n, u.coeffs, v.coeffs, w)
+                combine_single_weight(u, v, w)
+    assert len(seen) > 200
+    assert any(den > 1 for _, (den, _), _ in seen)
+    for k, u, v in seen:
+        for den, nums in (u, v):
+            assert math.gcd(den, *nums[: k + 1]) == 1
