@@ -160,39 +160,64 @@ class CanonicalCoeffs(dict):
     __slots__ = ()
 
 
-def _parse_coefficient(value) -> tuple[int, int, str]:
-    """(p, q, text): a coefficient as p / q in lowest terms, q > 0, and its
-    canonical text str(Fraction(p, q)).
-
-    "p" and "p/q" in ASCII digits are read with int() and one gcd, and the
-    input text is kept when it is already canonical; every other spelling
-    goes through ``_as_fraction``, with its acceptance and its errors.
-    """
-    if type(value) is str and value.isascii():
-        # bytes.isdigit accepts exactly 0-9, and is several times faster
-        # than str.isdigit.
-        num, slash, den = value.encode().partition(b"/")
-        if num.isdigit() and (not slash or den.isdigit()):
-            p = int(num)
-            if not slash:
-                return p, 1, str(p) if num.startswith(b"0") else value
-            q = int(den)
-            if q:
-                g = math.gcd(p, q)
-                if g != 1:
-                    p, q = p // g, q // g
-                if q == 1:
-                    return p, 1, str(p)
-                if g == 1 and not num.startswith(b"0") and not den.startswith(b"0"):
-                    return p, q, value
-                return p, q, f"{p}/{q}"
+def _exact_term(value) -> tuple[int, int, str]:
+    """(p, q, text): an exact coefficient, as ``_as_fraction`` reads it and
+    with its errors, as p / q in lowest terms with q > 0 and its canonical
+    text str(Fraction(p, q))."""
     c = _as_fraction(value)
     return c.numerator, c.denominator, str(c)
 
 
+def _lowest_term(p: int, q: int, g: int, text: str, canonical: bool) -> tuple[int, int, str]:
+    # The term of the text "p/q" whose gcd(p, q) is g; ``canonical`` when
+    # neither part of the text has a leading zero.
+    if g != 1:
+        p, q = p // g, q // g
+    if q == 1:
+        return p, 1, str(p)
+    if g == 1 and canonical:
+        return p, q, text
+    return p, q, f"{p}/{q}"
+
+
+def _reduce_groups(groups: dict) -> dict:
+    """The term (p, q, text) of every "p/q" text in ``groups``, by text.
+    ``groups[den]`` is ``(q, texts)`` for the denominator digits ``den``,
+    with q = int(den) > 0 and ``texts`` mapping each text over ``den`` to
+    its numerator digits.
+
+    The texts over one q need one gcd with q in all: with r = p mod q for
+    each numerator p, G = gcd(q, prod r mod q) equals gcd(q, prod p), and
+    every gcd(p, q) divides G, which divides q, so gcd(p, q) = gcd(r, G).
+    G = 1, the usual case, leaves every text in lowest terms; otherwise
+    each gcd is taken with G, not q.  A numerator r = 0 makes G = q, and
+    for a single text G is gcd(p, q) itself.
+    """
+    reduced = {}
+    for den, (q, texts) in groups.items():
+        if not texts:
+            continue
+        padded = den.startswith(b"0")
+        ps = [*map(int, texts.values())]
+        rs = [p % q for p in ps]
+        prod = 1
+        for r in rs:
+            prod = prod * r % q
+        g = math.gcd(q, prod)
+        for (text, num), p, r in zip(texts.items(), ps, rs):
+            gcd = math.gcd(r, g) if g != 1 else 1
+            canonical = not padded and not num.startswith(b"0")
+            if gcd == 1 and q != 1 and canonical:
+                # The usual case of _lowest_term, without the call.
+                reduced[text] = p, q, text
+            else:
+                reduced[text] = _lowest_term(p, q, gcd, text, canonical)
+    return reduced
+
+
 def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[int], dict]:
     """Parse spectrum JSON, ``{"n": n, "coeffs": {"w": value, ...}}``, into
-    integer form in one pass: ``(den, nums, echo)``.
+    integer form: ``(den, nums, echo)``.
 
     Coefficient w is nums[w] / den for w = 0..n; ``den`` is the lcm of the
     reduced coefficient denominators, which is what ``common_denominator``
@@ -203,11 +228,22 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     other types TypeError.  A later key for the same weight overrides an
     earlier one.
 
+    One pass over the keys validates every value, so that the errors come
+    in key order.  A "p/q" text in ASCII digits is read there only when it
+    is the first over its denominator text, with one gcd; a later one is
+    filed under that text, and each denominator's filed texts are reduced
+    together after the pass (``_reduce_groups``).  So the input costs one
+    int() per distinct text, and the texts that share a denominator cost a
+    batch of products mod q and one gcd with q instead of a gcd each.
+    Spectra whose denominators all differ, as canonical records mostly do,
+    are read as one value at a time would read them.
+
     With ``max_weight`` W, only the coefficients 0..W are read: nums[w] is 0
     for w > W and ``den`` is the lcm over the weights up to W.  Every value
     is still validated and echoed, with the same errors in the same order,
     but a plain digit string above W is echoed from its text, never
-    converted to an integer.
+    converted to an integer; a "p/q" text above W is still reduced, for its
+    echo.
     """
     if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
         raise ValueError("enumerator JSON must have 'n' and 'coeffs' keys")
@@ -221,7 +257,12 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     # fails first, whatever the values.
     nums = [0] * (n + 1)
     top = n if max_weight is None else max_weight
+    # Python's limit on the digits int() reads, 0 when lifted.
+    limit = sys.get_int_max_str_digits()
     terms = {}
+    # The "p/q" texts in ASCII digits, by denominator text, as
+    # _reduce_groups takes them.
+    groups = {}
     # A palindromic spectrum spells A_w and A_{n-w} alike: its values are
     # parsed once per distinct string, and other spectra pay no lookups.
     values = [*raw.values()]
@@ -233,27 +274,70 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
             raise ValueError(f"bad weight key {key!r}") from None
         if not 0 <= w <= n:
             raise ValueError(f"weight {w} outside 0..{n}")
-        if isinstance(value, float):
-            raise ValueError(f"coefficient of x^{w} is a float; exact values only")
-        if w > top and type(value) is str and value.isascii() and value.encode().isdigit():
-            # Echoed only: 1 stands for any positive numerator.
+        if type(value) is not str:
+            if isinstance(value, float):
+                raise ValueError(f"coefficient of x^{w} is a float; exact values only")
+            terms[w] = _exact_term(value)
+            continue
+        # bytes.isdigit accepts exactly 0-9, and is several times faster
+        # than str.isdigit.
+        if w > top and value.isascii() and value.encode().isdigit():
+            # Echoed only: 1 stands for any positive numerator.  A text
+            # longer than the limit raises here as it does below W.
+            if limit and len(value) > limit:
+                int(value)
             text = value.lstrip("0")
             terms[w] = (1, 1, text) if text else (0, 1, "0")
-        elif parsed is not None and type(value) is str:
+            continue
+        if parsed is not None:
             term = parsed.get(value)
-            if term is None:
-                term = parsed[value] = _parse_coefficient(value)
-            terms[w] = term
-        else:
-            terms[w] = _parse_coefficient(value)
+            if term is not None:
+                terms[w] = term
+                continue
+        term = None
+        if value.isascii():
+            num, slash, den = value.encode().partition(b"/")
+            if not slash:
+                if num.isdigit():
+                    p = int(num)
+                    term = p, 1, str(p) if num.startswith(b"0") else value
+            elif num.isdigit() and den.isdigit() and (not limit or len(value) <= limit):
+                # Within the limit int() raises on neither part, so a filed
+                # text holds back no error.  The first text over a nonzero
+                # denominator is reduced here, the later ones after the pass.
+                group = groups.get(den)
+                if group is not None:
+                    group[1][value] = num
+                    term = value
+                else:
+                    q = int(den)
+                    if q:
+                        groups[den] = q, {}
+                        p = int(num)
+                        canonical = not num.startswith(b"0") and not den.startswith(b"0")
+                        term = _lowest_term(p, q, math.gcd(p, q), value, canonical)
+        if term is None:
+            term = _exact_term(value)
+        terms[w] = term
+        if parsed is not None:
+            parsed[value] = term
+    # Filed texts stand for their terms until now.
+    reduced = _reduce_groups(groups)
+    if reduced:
+        for w, term in terms.items():
+            if type(term) is str:
+                terms[w] = reduced[term]
     weights = sorted(w for w, (p, _, _) in terms.items() if p)
-    den = math.lcm(*(terms[w][1] for w in weights if w <= top))
+    # Each distinct denominator once: a palindromic spectrum repeats them.
+    dens = {terms[w][1] for w in weights if w <= top}
+    den = math.lcm(*dens)
+    scales = {q: den // q for q in dens}
     for w in weights:
         p, q, text = terms[w]
         if p < 0:
             raise ValueError(f"coefficient of x^{w} is negative: {text}")
         if w <= top:
-            nums[w] = p if q == den else p * (den // q)
+            nums[w] = p if q == den else p * scales[q]
     echo = {"n": n, "coeffs": CanonicalCoeffs({str(w): terms[w][2] for w in weights})}
     return den, nums, echo
 

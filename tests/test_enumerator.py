@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import strategies as st
 
 from helpers import any_int_digits
 from plotkin_wef import PolyParseError, WeightEnumerator, format_poly, parse_poly
-from plotkin_wef.enumerator import common_denominator, spectrum_from_json, spectrum_to_json
+from plotkin_wef.enumerator import (
+    _reduce_groups,
+    common_denominator,
+    spectrum_from_json,
+    spectrum_to_json,
+)
 
 
 def spectra(max_n=10):
@@ -189,7 +195,7 @@ coefficient_values = (
 
 
 @st.composite
-def spectrum_json(draw):
+def mixed_spectrum_json(draw):
     n = draw(st.integers(0, 6))
     weights = st.integers(0, n).flatmap(lambda w: st.sampled_from([str(w), f"0{w}", f" {w}"]))
     # Values from a small pool repeat, as in a palindromic spectrum.
@@ -198,9 +204,63 @@ def spectrum_json(draw):
     return {"n": n, "coeffs": draw(st.dictionaries(weights, values, max_size=n + 2))}
 
 
+# Denominators with small factors, a prime, 1, and any size.
+shared_denominators = st.sampled_from([1, 2, 6, 12, 360, 2**61 - 1]) | st.integers(1, 10**30)
+
+
+def numerators_over(q):
+    """Numerators p of p/q: any, 0, multiples of q (p mod q = 0) and ones
+    that share a factor with q."""
+    return st.one_of(
+        st.integers(0, 10**40),
+        st.just(0),
+        st.integers(0, 10**6).map(lambda k: k * q),
+        st.tuples(st.integers(0, 10**6), st.integers(1, 10**12)).map(
+            lambda km: km[0] * math.gcd(q, km[1])
+        ),
+    )
+
+
+@st.composite
+def shared_denominator_json(draw):
+    """Spectra whose "p/q" texts share one or two denominators, which the
+    parser reduces a denominator at a time: leading zeros in p or q, groups
+    of one text, palindromic layouts, and a weight spelled "1", "01" and
+    " 1" among plain and invalid values."""
+    n = draw(st.integers(0, 8))
+    qs = draw(st.lists(shared_denominators, min_size=1, max_size=2))
+    over = []
+    for q in qs:
+        den = draw(st.sampled_from(["", "0", "00"])) + str(q)
+        over.append(
+            st.tuples(st.sampled_from(["", "0"]), numerators_over(q)).map(
+                lambda zp, den=den: f"{zp[0]}{zp[1]}/{den}"
+            )
+        )
+    others = st.sampled_from(["1", "07", "0", "5/1", "4/6", "1/0", "x", "-2/4", " 3/4 "])
+    values = st.one_of(*over, others | st.integers(-1, 10**30) | st.floats() | st.none())
+    if draw(st.booleans()):
+        half = draw(st.lists(values, min_size=n // 2 + 1, max_size=n // 2 + 1))
+        return {"n": n, "coeffs": {str(w): half[min(w, n - w)] for w in range(n + 1)}}
+    weights = st.integers(0, n).flatmap(lambda w: st.sampled_from([str(w), f"0{w}", f" {w}"]))
+    return {"n": n, "coeffs": draw(st.dictionaries(weights, values, max_size=n + 3))}
+
+
+def spectrum_json():
+    return mixed_spectrum_json() | shared_denominator_json()
+
+
 @given(spectrum_json(), st.none() | st.integers(-1, 7))
 @example({"n": 5, "coeffs": {"0": "1", "1": "2/3", "2": "007", "3": "00", "4": "5/10", "5": 9}}, 1)
 @example({"n": 2, "coeffs": {"0": "1", "1": "-1", "2": "x"}}, 0)
+# A digit text above the limit on int() raises above W as it does below.
+@example({"n": 1, "coeffs": {"1": "1" * 5000}}, 0)
+@example(
+    {"n": 3, "coeffs": {"1": "4/12", "2": "6/012", "01": "0/12", "3": "10/12", " 1": "3/9"}}, 1
+)
+@example({"n": 2, "coeffs": {"1": "2/6", "01": "x", " 1": "1/6", "2": "1/0"}}, None)
+@example({"n": 4, "coeffs": {"0": "3/6", "1": "6/6", "2": "0/6", "3": "6/6", "4": "3/6"}}, 2)
+@example({"n": 2, "coeffs": {"0": "5/06", "1": "7/06", "2": "05/6", "02": "02/6"}}, None)
 def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     try:
         expected = fraction_path(obj, max_weight)
@@ -212,6 +272,20 @@ def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     den, nums, echo = spectrum_from_json(obj, max_weight)
     assert ((den, nums), echo) == expected
     assert WeightEnumerator.from_json_dict(obj).to_json_dict() == echo
+
+
+@given(shared_denominators, st.data())
+def test_group_reduction_matches_a_gcd_per_text(q, data):
+    den = data.draw(st.sampled_from(["", "0"])) + str(q)
+    padded = st.tuples(st.sampled_from(["", "00"]), numerators_over(q))
+    nums = data.draw(st.lists(padded.map(lambda zp: zp[0] + str(zp[1])), min_size=1, max_size=12))
+    texts = {f"{num}/{den}": num.encode() for num in nums}
+    reduced = _reduce_groups({den.encode(): (q, texts)})
+    assert reduced.keys() == texts.keys()
+    for text, num in texts.items():
+        p = int(num)
+        g = math.gcd(p, q)
+        assert reduced[text] == (p // g, q // g, str(Fraction(p, q)))
 
 
 huge = st.integers(10**4999, 10**5000 - 1)
