@@ -21,8 +21,8 @@ prints its value.
 Spectra stay in integer form, ``(den, nums)``, from input to output:
 combine and bound parse their spectrum files straight into that form
 (enumerator.spectrum_from_json, which also gives the canonical echo of the
-input: one int() per distinct coefficient text, and the "p/q" texts over a
-shared denominator reduced together, with one gcd with that denominator;
+input: each distinct "p/q" text is read with one int(), and the texts over
+a shared denominator are reduced together, with one gcd with it;
 combine --partial W echoes the integer texts above W unconverted), and
 enumerator.spectrum_to_json reduces each nonzero coefficient to lowest
 terms only when it is written out.  Fractions are built only by

@@ -168,50 +168,46 @@ def _exact_term(value) -> tuple[int, int, str]:
     return c.numerator, c.denominator, str(c)
 
 
-def _lowest_term(p: int, q: int, g: int, text: str, canonical: bool) -> tuple[int, int, str]:
-    # The term of the text "p/q" whose gcd(p, q) is g; ``canonical`` when
-    # neither part of the text has a leading zero.
-    if g != 1:
-        p, q = p // g, q // g
-    if q == 1:
-        return p, 1, str(p)
-    if g == 1 and canonical:
-        return p, q, text
-    return p, q, f"{p}/{q}"
-
-
 def _reduce_groups(groups: dict) -> dict:
-    """The term (p, q, text) of every "p/q" text in ``groups``, by text.
-    ``groups[den]`` is ``(q, texts)`` for the denominator digits ``den``,
-    with q = int(den) > 0 and ``texts`` mapping each text over ``den`` to
-    its numerator digits.
+    """The term (p, q, text) of every "p/q" text in ``groups``, by text:
+    p / q in lowest terms and its canonical text str(Fraction(p, q)), which
+    is the input text when that is already canonical.  ``groups[den]`` maps
+    each text over the nonzero denominator digits ``den`` to its numerator
+    digits.
 
     The texts over one q need one gcd with q in all: with r = p mod q for
     each numerator p, G = gcd(q, prod r mod q) equals gcd(q, prod p), and
     every gcd(p, q) divides G, which divides q, so gcd(p, q) = gcd(r, G).
     G = 1, the usual case, leaves every text in lowest terms; otherwise
-    each gcd is taken with G, not q.  A numerator r = 0 makes G = q, and
-    for a single text G is gcd(p, q) itself.
+    each gcd is taken with G, not q.  A numerator r = 0 makes G = q.  A
+    group of one text takes the plain gcd(p, q) as its G.
     """
     reduced = {}
-    for den, (q, texts) in groups.items():
-        if not texts:
-            continue
-        padded = den.startswith(b"0")
+    for den, texts in groups.items():
+        q = int(den)
         ps = [*map(int, texts.values())]
-        rs = [p % q for p in ps]
-        prod = 1
-        for r in rs:
-            prod = prod * r % q
-        g = math.gcd(q, prod)
+        if len(ps) == 1:
+            # gcd(p, G) = G, so p serves as its own residue.
+            rs = ps
+            g = math.gcd(ps[0], q)
+        else:
+            rs = [p % q for p in ps]
+            prod = 1
+            for r in rs:
+                prod = prod * r % q
+            g = math.gcd(q, prod)
+        padded = den.startswith(b"0")
         for (text, num), p, r in zip(texts.items(), ps, rs):
-            gcd = math.gcd(r, g) if g != 1 else 1
-            canonical = not padded and not num.startswith(b"0")
-            if gcd == 1 and q != 1 and canonical:
-                # The usual case of _lowest_term, without the call.
+            gcd = 1 if g == 1 else math.gcd(r, g)
+            lowest = q
+            if gcd != 1:
+                p, lowest = p // gcd, q // gcd
+            if lowest == 1:
+                reduced[text] = p, 1, str(p)
+            elif gcd == 1 and not padded and not num.startswith(b"0"):
                 reduced[text] = p, q, text
             else:
-                reduced[text] = _lowest_term(p, q, gcd, text, canonical)
+                reduced[text] = p, lowest, f"{p}/{lowest}"
     return reduced
 
 
@@ -229,14 +225,15 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     earlier one.
 
     One pass over the keys validates every value, so that the errors come
-    in key order.  A "p/q" text in ASCII digits is read there only when it
-    is the first over its denominator text, with one gcd; a later one is
-    filed under that text, and each denominator's filed texts are reduced
-    together after the pass (``_reduce_groups``).  So the input costs one
-    int() per distinct text, and the texts that share a denominator cost a
-    batch of products mod q and one gcd with q instead of a gcd each.
-    Spectra whose denominators all differ, as canonical records mostly do,
-    are read as one value at a time would read them.
+    in key order, but converts no "p/q" text in ASCII digits: it files each
+    distinct one under its denominator text, and the texts of each
+    denominator are reduced together after the pass (``_reduce_groups``).
+    So a "p/q" text costs one int() however often it repeats, and each
+    denominator one int() and one gcd with q, with a batch of products
+    mod q when it holds more than one text; a text needs a gcd of its own
+    only when that batch's gcd is not 1.  Every other value is converted
+    where it stands, once per key, or once per distinct string when the
+    spectrum is palindromic.
 
     With ``max_weight`` W, only the coefficients 0..W are read: nums[w] is 0
     for w > W and ``den`` is the lcm over the weights up to W.  Every value
@@ -303,41 +300,34 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                     term = p, 1, str(p) if num.startswith(b"0") else value
             elif num.isdigit() and den.isdigit() and (not limit or len(value) <= limit):
                 # Within the limit int() raises on neither part, so a filed
-                # text holds back no error.  The first text over a nonzero
-                # denominator is reduced here, the later ones after the pass.
+                # text holds back no error.  A zero denominator is left to
+                # _exact_term, which raises in key order.
                 group = groups.get(den)
+                if group is None and den.strip(b"0"):
+                    group = groups[den] = {}
                 if group is not None:
-                    group[1][value] = num
+                    group[value] = num
                     term = value
-                else:
-                    q = int(den)
-                    if q:
-                        groups[den] = q, {}
-                        p = int(num)
-                        canonical = not num.startswith(b"0") and not den.startswith(b"0")
-                        term = _lowest_term(p, q, math.gcd(p, q), value, canonical)
         if term is None:
             term = _exact_term(value)
         terms[w] = term
         if parsed is not None:
             parsed[value] = term
     # Filed texts stand for their terms until now.
-    reduced = _reduce_groups(groups)
-    if reduced:
+    if groups:
+        reduced = _reduce_groups(groups)
         for w, term in terms.items():
             if type(term) is str:
                 terms[w] = reduced[term]
     weights = sorted(w for w, (p, _, _) in terms.items() if p)
-    # Each distinct denominator once: a palindromic spectrum repeats them.
-    dens = {terms[w][1] for w in weights if w <= top}
-    den = math.lcm(*dens)
-    scales = {q: den // q for q in dens}
+    # Each denominator once: a palindromic spectrum repeats every one.
+    den = math.lcm(*{terms[w][1] for w in weights if w <= top})
     for w in weights:
         p, q, text = terms[w]
         if p < 0:
             raise ValueError(f"coefficient of x^{w} is negative: {text}")
         if w <= top:
-            nums[w] = p if q == den else p * scales[q]
+            nums[w] = p if q == den else p * (den // q)
     echo = {"n": n, "coeffs": CanonicalCoeffs({str(w): terms[w][2] for w in weights})}
     return den, nums, echo
 

@@ -261,6 +261,9 @@ def spectrum_json():
 @example({"n": 2, "coeffs": {"1": "2/6", "01": "x", " 1": "1/6", "2": "1/0"}}, None)
 @example({"n": 4, "coeffs": {"0": "3/6", "1": "6/6", "2": "0/6", "3": "6/6", "4": "3/6"}}, 2)
 @example({"n": 2, "coeffs": {"0": "5/06", "1": "7/06", "2": "05/6", "02": "02/6"}}, None)
+# A zero denominator, alone or spelled "00", raises where it stands.
+@example({"n": 2, "coeffs": {"0": "1/3", "1": "2/0", "2": "1/3"}}, None)
+@example({"n": 2, "coeffs": {"0": "0/00", "1": "2/00"}}, 0)
 def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     try:
         expected = fraction_path(obj, max_weight)
@@ -280,7 +283,7 @@ def test_group_reduction_matches_a_gcd_per_text(q, data):
     padded = st.tuples(st.sampled_from(["", "00"]), numerators_over(q))
     nums = data.draw(st.lists(padded.map(lambda zp: zp[0] + str(zp[1])), min_size=1, max_size=12))
     texts = {f"{num}/{den}": num.encode() for num in nums}
-    reduced = _reduce_groups({den.encode(): (q, texts)})
+    reduced = _reduce_groups({den.encode(): texts})
     assert reduced.keys() == texts.keys()
     for text, num in texts.items():
         p = int(num)
