@@ -8,56 +8,54 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 
 class BinomialTable:
-    """Triangular table of C(a, b) for 0 <= b <= a <= max_n, via Pascal's rule.
+    """Rows 0..max_n of Pascal's triangle: ``rows[a]`` is [C(a, 0), ..., C(a, a)].
 
-    Rows are built once and never mutated afterwards, so a table can be shared
-    freely between threads.  Out-of-support queries (b < 0 or b > a) return 0,
-    which lets summations written with loose index bounds drop their
-    impossible terms automatically.
+    Each row is one ``map(add)`` over the row before it.  Rows are built once
+    and never mutated afterwards, so a table can be shared freely between
+    threads.  Row a holds a + 1 integers of up to a bits, so the rows grow as
+    n^3: rows 0..512 take 8.4 MiB and rows 0..1024 50 MiB (``sys.getsizeof``
+    of the lists and their integers); see ``shared_table`` for which rows the
+    session holds.
     """
 
-    __slots__ = ("max_n", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, max_n: int):
         if max_n < 0:
             raise ValueError(f"max_n must be >= 0, got {max_n}")
-        self.max_n = max_n
         self.rows = _extend_rows([[1]], max_n)
 
     @classmethod
     def _grown(cls, base: "BinomialTable", max_n: int) -> "BinomialTable":
         # Shares the existing row objects; rows are read-only by convention.
         table = cls.__new__(cls)
-        table.max_n = max_n
         table.rows = _extend_rows(list(base.rows), max_n)
         return table
 
-    def binomial(self, a: int, b: int) -> int:
-        if a < 0 or a > self.max_n:
-            raise ValueError(f"row {a} outside table (max_n={self.max_n})")
-        if b < 0 or b > a:
-            return 0
-        return self.rows[a][b]
-
 
 def _extend_rows(rows: list[list[int]], max_n: int) -> list[list[int]]:
-    for a in range(len(rows), max_n + 1):
-        prev = rows[a - 1]
-        row = [1] * (a + 1)
-        for b in range(1, a):
-            row[b] = prev[b - 1] + prev[b]
+    row = rows[-1]
+    for _ in range(len(rows), max_n + 1):
+        row = [1, *map(add, row, row[1:]), 1]
         rows.append(row)
     return rows
 
 
-_shared = BinomialTable(64)
+_shared = BinomialTable(0)
 
 
 def shared_table(min_n: int) -> BinomialTable:
     """Session-wide table covering rows up to at least ``min_n``.
+
+    It starts at row 0 and grows only when asked for a row it lacks, which
+    ``plotkin._plan`` does for a full plan of length n alone: the table holds
+    rows 0..n of the largest full plan of the session, never more.  A
+    truncated plan holds its own ~k^2/4 entries and leaves the table as it is,
+    and ``binomial`` and ``plotkin_coefficient`` never touch it.
 
     Grows on demand and is never shrunk; every row is built at most once per
     session because growth extends the existing rows.  The returned table is
@@ -66,7 +64,7 @@ def shared_table(min_n: int) -> BinomialTable:
     """
     global _shared
     table = _shared
-    if table.max_n < min_n:
+    if len(table.rows) <= min_n:
         table = BinomialTable._grown(table, min_n)
         _shared = table
     return table

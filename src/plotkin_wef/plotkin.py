@@ -91,7 +91,11 @@ def _plan(n: int, k: int) -> tuple:
     A plan depends on (n, k) only, and a tree recursion meets the same pair
     at every node of a level, so the last 64 plans are kept; every
     caller gets the same lists, which nothing writes to.  A full plan
-    (2k >= n) holds the rows of the shared table, copying none.
+    (2k >= n) holds the rows of the shared table, copying none, and grows
+    that table to row n if it is shorter; a truncated plan owns its ~k^2/4
+    entries.  So the memory of the plans is rows 0..n of the largest full
+    plan (50 MiB at n = 1024) plus up to 64 truncated plans of ~k^2/4
+    entries each.
     """
     rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
     row_n = rows[n][: k + 1]

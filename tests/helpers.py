@@ -2,8 +2,11 @@
 
 import contextlib
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from plotkin_wef import BinaryMatrix, WeightEnumerator
 
@@ -17,6 +20,30 @@ def any_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def fresh_table_rows(*argv: str) -> int:
+    """Rows in the shared binomial table after ``cli.main(argv)`` in a fresh
+    interpreter; no argv runs the import alone."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from plotkin_wef.cli import main\n"
+        "from plotkin_wef.combinatorics import shared_table\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(sys.argv[1:]) == 0\n"
+        "print(len(shared_table(0).rows))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def literal_combine(u_enum: WeightEnumerator, v_enum: WeightEnumerator) -> WeightEnumerator:

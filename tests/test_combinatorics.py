@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from helpers import fresh_table_rows
 from plotkin_wef import BinomialTable, binomial, plotkin_coefficient, shared_table
 
 
@@ -30,10 +32,10 @@ def test_binomial_rejects_negative_n():
 
 
 def test_table_matches_multiplicative_form():
-    table = BinomialTable(30)
-    for n in range(31):
-        for k in range(-1, n + 2):
-            assert table.binomial(n, k) == multiplicative_binomial(n, k)
+    rows = BinomialTable(30).rows
+    assert len(rows) == 31
+    for n, row in enumerate(rows):
+        assert row == [multiplicative_binomial(n, k) for k in range(n + 1)]
 
 
 def test_table_pascal_rule_and_row_sums():
@@ -45,27 +47,27 @@ def test_table_pascal_rule_and_row_sums():
 
 
 def test_table_rejects_rows_outside_range():
-    table = BinomialTable(4)
-    with pytest.raises(ValueError):
-        table.binomial(5, 2)
-    with pytest.raises(ValueError):
-        table.binomial(-1, 0)
+    assert BinomialTable(0).rows == [[1]]
     with pytest.raises(ValueError):
         BinomialTable(-1)
 
 
 def test_shared_table_never_shrinks():
     grown = shared_table(10)
-    assert grown.max_n >= 10
-    assert shared_table(5).max_n >= grown.max_n
+    assert len(grown.rows) >= 11
+    assert shared_table(5) is grown
 
 
 def test_grown_table_shares_existing_rows():
-    small = BinomialTable(10)
-    grown = BinomialTable._grown(small, 20)
-    assert grown.max_n == 20
-    assert grown.rows[10] is small.rows[10]
-    assert grown.binomial(20, 10) == multiplicative_binomial(20, 10)
+    # Growth in uneven steps copies the list of rows, never a row, and
+    # leaves the smaller generation as it was.
+    small = BinomialTable(5)
+    middle = BinomialTable._grown(small, 37)
+    large = BinomialTable._grown(middle, 300)
+    assert [len(t.rows) for t in (small, middle, large)] == [6, 38, 301]
+    assert all(middle.rows[a] is small.rows[a] for a in range(6))
+    assert all(large.rows[a] is middle.rows[a] for a in range(38))
+    assert large.rows == [[math.comb(a, b) for b in range(a + 1)] for a in range(301)]
 
 
 def test_plotkin_coefficient_known_values():
@@ -115,17 +117,18 @@ def test_vandermonde_identity():
 
 
 def test_binomial_and_plotkin_coefficient_do_not_grow_the_table():
-    before = shared_table(0).max_n
-    n = before + 1000
+    table = shared_table(0)
+    n = len(table.rows) + 1000
     assert binomial(n, 3) == multiplicative_binomial(n, 3)
     assert binomial(n, n + 1) == 0 and binomial(n, -2) == 0
     assert plotkin_coefficient(n, 3, 1, 1) == Fraction(n - 1, n)
-    assert shared_table(0).max_n == before
+    assert shared_table(0) is table
 
 
 def test_plotkin_coefficient_matches_the_table_formula():
-    table = BinomialTable(9)
-    b = table.binomial
+    # Every index below is inside its row on this box, so no row is read
+    # from its end.
+    c = BinomialTable(9).rows
     for n in range(1, 10):
         for w in range(2 * n + 1):
             lo = max(0, w - n)
@@ -133,6 +136,15 @@ def test_plotkin_coefficient_matches_the_table_formula():
                 for vo in range(lo, min(wv, w - wv) + 1):
                     a = w - wv
                     expected = Fraction(
-                        b(n, a) * b(a, vo) * b(n - a, wv - vo), b(n, wv) * b(n, w - 2 * vo)
+                        c[n][a] * c[a][vo] * c[n - a][wv - vo], c[n][wv] * c[n][w - 2 * vo]
                     )
                     assert plotkin_coefficient(n, w, wv, vo) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, rows", [((), 1), (("rm", "3", "8"), 129)], ids=["import", "rm-3-8"]
+)
+def test_shared_table_holds_rows_up_to_the_largest_full_plan(argv, rows):
+    # Importing the package builds row 0 only; rm(3, 8), of length 256,
+    # asks for full plans up to n = 128.
+    assert fresh_table_rows(*argv) == rows

@@ -1,17 +1,14 @@
 """The truncated path: weights <= W from the component weights <= W only."""
 
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fresh_table_rows
 from plotkin_wef import (
     WeightEnumerator,
     combine,
@@ -23,8 +20,6 @@ from plotkin_wef import (
     tree_from_active_set,
 )
 from plotkin_wef.cli import main
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 fractions = st.fractions(min_value=0, max_value=50, max_denominator=12)
 
@@ -141,20 +136,7 @@ def test_cli_combine_partial_is_the_full_prefix(capsys, tmp_path, n):
 
 
 def test_partial_rm_does_not_grow_the_binomial_table():
-    code = (
-        "import contextlib, io\n"
-        "from plotkin_wef.cli import main\n"
-        "from plotkin_wef.combinatorics import shared_table\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['rm', '2', '12', '--partial', '8']) == 0\n"
-        "print(shared_table(0).max_n)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "64"
+    # rm(2, 12) --partial 8 makes truncated plans (2k < n) at n = 32..2048,
+    # which hold their own rows; only its full plans at n <= 16 read the
+    # shared table, so the table ends at rows 0..16, not 0..2048.
+    assert fresh_table_rows("rm", "2", "12", "--partial", "8") == 17
