@@ -6,77 +6,66 @@ enumerator of the concatenation {(u + v*perm, v)} over a uniformly random
 coordinate permutation, recursively over frozen/active construction trees,
 and cross-checks everything against brute-force and exhaustive-permutation
 oracles.
+
+Importing the package loads none of its modules: each name of ``__all__``
+and each submodule is imported on first access (PEP 562), so a CLI call
+loads only the modules its command runs.
 """
 
-from .bounds import ChannelPoint, q_function, truncated_union_bound
-from .codetree import (
-    Branch,
-    CodeTree,
-    Leaf,
-    active_leaves,
-    dual_tree,
-    ensemble_wef,
-    ensemble_wef_prefix,
-    generator_matrix,
-    rm_tree,
-    tree_from_active_set,
-    tree_from_json_dict,
-    tree_to_json_dict,
-)
-from .combinatorics import BinomialTable, binomial, plotkin_coefficient, shared_table
-from .enumerator import WeightEnumerator, format_poly, parse_poly
-from .errors import BudgetError, PolyParseError, RankDeficiencyWarning
-from .oracle import (
-    BinaryMatrix,
-    MonteCarloEstimate,
-    Permutation,
-    ensemble_wef_exhaustive,
-    ensemble_wef_montecarlo,
-    exact_wef_bruteforce,
-    macwilliams,
-    uniform_permutation,
-)
-from .plotkin import combine, combine_prefix, combine_single_weight, min_distance_combine
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryMatrix",
-    "BinomialTable",
-    "Branch",
-    "BudgetError",
-    "ChannelPoint",
-    "CodeTree",
-    "Leaf",
-    "MonteCarloEstimate",
-    "Permutation",
-    "PolyParseError",
-    "RankDeficiencyWarning",
-    "WeightEnumerator",
-    "active_leaves",
-    "binomial",
-    "combine",
-    "combine_prefix",
-    "combine_single_weight",
-    "dual_tree",
-    "ensemble_wef",
-    "ensemble_wef_prefix",
-    "ensemble_wef_exhaustive",
-    "ensemble_wef_montecarlo",
-    "exact_wef_bruteforce",
-    "format_poly",
-    "generator_matrix",
-    "macwilliams",
-    "min_distance_combine",
-    "parse_poly",
-    "plotkin_coefficient",
-    "q_function",
-    "rm_tree",
-    "shared_table",
-    "tree_from_active_set",
-    "tree_from_json_dict",
-    "tree_to_json_dict",
-    "truncated_union_bound",
-    "uniform_permutation",
-    "__version__",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "bounds": ("ChannelPoint", "q_function", "truncated_union_bound"),
+    "codetree": (
+        "Branch",
+        "CodeTree",
+        "Leaf",
+        "active_leaves",
+        "dual_tree",
+        "ensemble_wef",
+        "ensemble_wef_prefix",
+        "generator_matrix",
+        "rm_tree",
+        "tree_from_active_set",
+        "tree_from_json_dict",
+        "tree_to_json_dict",
+    ),
+    "combinatorics": ("BinomialTable", "binomial", "plotkin_coefficient", "shared_table"),
+    "enumerator": ("WeightEnumerator", "format_poly", "parse_poly"),
+    "errors": ("BudgetError", "PolyParseError", "RankDeficiencyWarning"),
+    "oracle": (
+        "BinaryMatrix",
+        "MonteCarloEstimate",
+        "Permutation",
+        "ensemble_wef_exhaustive",
+        "ensemble_wef_montecarlo",
+        "exact_wef_bruteforce",
+        "macwilliams",
+        "uniform_permutation",
+    ),
+    "plotkin": ("combine", "combine_prefix", "combine_single_weight", "min_distance_combine"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "kernel")
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name, name)
+    if home not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ is what the import statement calls, and unlike
+    # importlib.import_module it is reported by -X importtime.
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

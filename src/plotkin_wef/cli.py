@@ -27,12 +27,19 @@ combine --partial W echoes the integer texts above W unconverted), and
 enumerator.spectrum_to_json reduces each nonzero coefficient to lowest
 terms only when it is written out.  Fractions are built only by
 oracle and by bound, for its rate and the weights 1..W that --truncate W
-reads.  Integers of any size are read and written: main lifts Python's limit
-on int/str conversion for the duration of the call.
+reads, and only they load the fractions module.  Integers of any size are
+read and written: main lifts Python's limit on int/str conversion for the
+duration of the call.
 
 A spectrum file may be an output record.  A record written with --partial P
 holds only the weights 0..P; combine and bound refuse it (exit 2) when they
 need a weight above P, and report its dimension as null otherwise.
+
+A command loads the modules it runs and no others, since every CLI call is
+a fresh interpreter and its imports are a large share of a short call.
+Every command loads the spectrum I/O of enumerator and plotkin.combine_int;
+rm and tree add codetree, bound adds bounds, and oracle and
+tree --emit-generator add oracle.
 """
 
 from __future__ import annotations
@@ -43,23 +50,7 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
-from .bounds import ChannelPoint, truncated_union_bound
-
-# ensemble_wef, format_poly, combine and combine_single_weight are not called
-# here; they stay importable from this module because perfbench's tracer looks
-# them up here and its self-test fails on a missing per-layer entry point.
-from .codetree import (
-    ensemble_wef,  # noqa: F401
-    ensemble_wef_int,
-    generator_matrix,
-    rm_tree,
-    tree_from_json_dict,
-    tree_json_depth,
-    tree_to_json_dict,
-)
-from .enumerator import format_poly  # noqa: F401
 from .enumerator import (
     WeightEnumerator,
     dump_json,
@@ -69,8 +60,38 @@ from .enumerator import (
     spectrum_to_json,
 )
 from .errors import BudgetError
-from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
-from .plotkin import combine, combine_int, combine_single_weight  # noqa: F401
+from .plotkin import combine_int
+
+# Names bound here on first use, from the module that defines them, so that
+# a command loads only the modules it runs: codetree for rm and tree, bounds
+# for bound.  The handlers call them as attributes of this module (_self),
+# and an existing binding is never replaced, so a name patched here, as
+# perfbench's tracer and the tests patch them, is the one called.
+# ensemble_wef, format_poly, combine and combine_single_weight are not called
+# here; the tracer looks them up here for its per-layer entry points.
+_LAZY = {
+    "ensemble_wef": "codetree",
+    "rm_tree": "codetree",
+    "tree_from_json_dict": "codetree",
+    "truncated_union_bound": "bounds",
+    "format_poly": "enumerator",
+    "combine": "plotkin",
+    "combine_single_weight": "plotkin",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__package__}.{_LAZY[name]}"
+    # Through the import statement's own __import__, which -X importtime
+    # reports, unlike importlib.import_module.
+    __import__(module)
+    return globals().setdefault(name, getattr(sys.modules[module], name))
+
+
+# This module, through which the handlers call the names of _LAZY.
+_self = sys.modules[__name__]
 
 DEFAULT_MAX_LENGTH = 4096
 MAX_LENGTH_ENV = "PLOTKIN_WEF_MAX_LENGTH"
@@ -165,6 +186,8 @@ def _record(command: str, input_echo, dimension, spectrum: dict, partial):
 
 
 def _parse_rate(text: str) -> float:
+    from fractions import Fraction
+
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
@@ -184,6 +207,8 @@ def _tree_record(args, command: str, tree, echo, max_weight: int) -> dict:
     """The record of rm and tree: the tree's weights up to ``max_weight``,
     with ``echo`` as the record's input, and its generator matrix under
     --emit-generator."""
+    from .codetree import ensemble_wef_int, generator_matrix
+
     den, nums = ensemble_wef_int(tree, max_weight)
     spectrum = spectrum_to_json(tree.length, den, nums)
     record = _record(command, echo, tree.dimension, spectrum, args.partial)
@@ -194,16 +219,18 @@ def _tree_record(args, command: str, tree, echo, max_weight: int) -> dict:
 
 def _cmd_rm(args) -> dict:
     max_weight = _max_weight(args.partial, _tree_length(args.m, args.max_length))
-    tree = rm_tree(args.r, args.m)
+    tree = _self.rm_tree(args.r, args.m)
     echo = {"rm": {"r": args.r, "m": args.m}}
     return _tree_record(args, "rm", tree, echo, max_weight)
 
 
 def _cmd_tree(args) -> dict:
+    from .codetree import tree_json_depth, tree_to_json_dict
+
     obj = _load_json(args.tree_file)
     length = _tree_length(tree_json_depth(obj), args.max_length)
     max_weight = _max_weight(args.partial, length)
-    tree = tree_from_json_dict(obj)
+    tree = _self.tree_from_json_dict(obj)
     return _tree_record(args, "tree", tree, tree_to_json_dict(tree), max_weight)
 
 
@@ -241,6 +268,8 @@ def _cmd_combine(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from .oracle import BinaryMatrix, ensemble_wef_exhaustive, ensemble_wef_montecarlo
+
     g0_obj = _load_json(args.g0_file)
     g1_obj = _load_json(args.g1_file)
     for obj in (g0_obj, g1_obj):
@@ -265,6 +294,10 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
+    from fractions import Fraction
+
+    from .bounds import ChannelPoint
+
     obj, partial = _spectrum_obj(args.spectrum_file)
     _check_declared_length(obj, 1, args.max_length)
     den, nums, spectrum = spectrum_from_json(obj)
@@ -276,7 +309,7 @@ def _cmd_bound(args) -> dict:
     # The bound reads the weights 1..W only, so only the prefix 0..W becomes
     # Fractions, each in lowest terms as a full enumerator would hold it.
     prefix = tuple(Fraction(num, den) for num in nums[: args.truncate + 1])
-    value = truncated_union_bound(
+    value = _self.truncated_union_bound(
         WeightEnumerator(args.truncate, prefix), args.truncate, channel
     )
     dimension = _dimension(sum(nums), den) if partial is None else None

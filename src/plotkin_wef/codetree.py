@@ -21,11 +21,9 @@ plotkin.py); ``ensemble_wef_prefix`` and ``ensemble_wef`` wrap it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 
 from .enumerator import Value, WeightEnumerator, is_int
-from .oracle import BinaryMatrix
 from .plotkin import combine_int
 
 
@@ -221,6 +219,8 @@ def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
 def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]:
     """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree),
     at the cost given in ensemble_wef_int."""
+    from fractions import Fraction
+
     den, nums = ensemble_wef_int(tree, max_weight)
     return tuple(Fraction(num, den) for num in nums)
 
@@ -267,6 +267,9 @@ def generator_matrix(tree: CodeTree) -> BinaryMatrix:
     left subtree extend as (g | 0), rows from the right subtree as (g | g).
     The rows are linearly independent, so k = dimension(tree).
     """
+    # Imported here, so that rm and tree load oracle only for
+    # --emit-generator.
+    from .oracle import BinaryMatrix
 
     def rows_of(t: CodeTree) -> list[int]:
         if isinstance(t, Leaf):

@@ -7,7 +7,6 @@ Everything here runs on Python's arbitrary-precision integers and
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add
 
 
@@ -98,6 +97,8 @@ def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:
     is inside its support).  The five binomials come from ``math.comb``; the
     shared table is not grown for them.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= w <= 2 * n:

@@ -19,17 +19,17 @@ texts; ``format_poly`` is that text of an enumerator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import PolyParseError
 
-_TERM_RE = re.compile(
-    r"^\s*(?:(?P<coeff>\d+(?:\s*/\s*\d+)?)\s*)?(?P<x>x(?:\s*\^\s*(?P<exp>\d+))?)?\s*$"
-)
+# One term of parse_poly's text, compiled on first use (by re's cache) rather
+# than at import: no CLI command parses a polynomial.
+_TERM = r"^\s*(?:(?P<coeff>\d+(?:\s*/\s*\d+)?)\s*)?(?P<x>x(?:\s*\^\s*(?P<exp>\d+))?)?\s*$"
 
 
 def is_int(value) -> bool:
@@ -37,7 +37,18 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@functools.cache
+def _fraction_class():
+    """fractions.Fraction, imported on the first call: reading and writing
+    spectra in integer form builds no Fraction, and leaves fractions (with
+    the decimal and numbers modules it loads) out of the process."""
+    from fractions import Fraction
+
+    return Fraction
+
+
 def _as_fraction(value) -> Fraction:
+    Fraction = _fraction_class()
     if isinstance(value, Fraction):
         return value
     if is_int(value):
@@ -126,7 +137,7 @@ class WeightEnumerator(Value):
     def total_mass(self) -> Fraction:
         """Sum of all coefficients: the (expected) number of codewords."""
         den, nums = common_denominator(self.coeffs)
-        return Fraction(sum(nums), den)
+        return _fraction_class()(sum(nums), den)
 
     def min_positive_weight(self) -> int | None:
         """Smallest w > 0 with a nonzero coefficient, or None if there is none."""
@@ -142,6 +153,7 @@ class WeightEnumerator(Value):
     @classmethod
     def from_json_dict(cls, obj) -> "WeightEnumerator":
         den, nums, _ = spectrum_from_json(obj)
+        Fraction = _fraction_class()
         return cls(len(nums) - 1, tuple(Fraction(num, den) for num in nums))
 
     def __str__(self) -> str:
@@ -276,9 +288,11 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 raise ValueError(f"coefficient of x^{w} is a float; exact values only")
             terms[w] = _exact_term(value)
             continue
-        # bytes.isdigit accepts exactly 0-9, and is several times faster
-        # than str.isdigit.
-        if w > top and value.isascii() and value.encode().isdigit():
+        # The bytes of an ASCII text, encoded once: above W before the
+        # palindrome lookup, up to W after it.  bytes.isdigit accepts
+        # exactly 0-9, and is several times faster than str.isdigit.
+        data = value.encode() if w > top and value.isascii() else None
+        if data is not None and data.isdigit():
             # Echoed only: 1 stands for any positive numerator.  A text
             # longer than the limit raises here as it does below W.
             if limit and len(value) > limit:
@@ -292,8 +306,10 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 terms[w] = term
                 continue
         term = None
-        if value.isascii():
-            num, slash, den = value.encode().partition(b"/")
+        if w <= top and value.isascii():
+            data = value.encode()
+        if data is not None:
+            num, slash, den = data.partition(b"/")
             if not slash:
                 if num.isdigit():
                     p = int(num)
@@ -397,12 +413,13 @@ def parse_poly(text: str, length: int) -> WeightEnumerator:
         raise ValueError(f"length must be >= 0, got {length}")
     if not text.strip():
         raise PolyParseError("empty polynomial", 0)
+    Fraction = _fraction_class()
     coeffs = [Fraction(0)] * (length + 1)
     offset = 0
     for chunk in text.split("+"):
         start = offset + (len(chunk) - len(chunk.lstrip()))
         offset += len(chunk) + 1
-        match = _TERM_RE.match(chunk)
+        match = re.match(_TERM, chunk)
         if match is None or (match.group("coeff") is None and match.group("x") is None):
             raise PolyParseError(f"malformed term {chunk.strip()!r}", start)
         if match.group("coeff") is not None:

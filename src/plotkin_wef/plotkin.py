@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import add, mul
 
 from . import kernel
@@ -153,6 +152,8 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
 def _window(n: int, u_coeffs, v_coeffs, lo: int, hi: int) -> tuple[Fraction, ...]:
     """Coefficients of x^lo..x^min(hi, 2n) of the combine of two length-n
     spectra given as coefficient sequences, read up to weight min(hi, n)."""
+    from fractions import Fraction
+
     k = min(hi, n) + 1
     den, nums = combine_int(
         n, common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k]), hi, lo

@@ -1,6 +1,7 @@
 """Shared test utilities, independent of the package's own hot path."""
 
 import contextlib
+import json
 import math
 import os
 import subprocess
@@ -22,6 +23,21 @@ def any_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports the package from this checkout's sources."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def fresh_table_rows(*argv: str) -> int:
     """Rows in the shared binomial table after ``cli.main(argv)`` in a fresh
     interpreter; no argv runs the import alone."""
@@ -34,16 +50,38 @@ def fresh_table_rows(*argv: str) -> int:
         "        assert main(sys.argv[1:]) == 0\n"
         "print(len(shared_table(0).rows))\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
+    return int(_fresh_python(code, *argv))
+
+
+def fresh_modules(code: str) -> set[str]:
+    """The modules that running ``code`` loads in a fresh interpreter.
+
+    -S: the site module of some installations imports modules of its own,
+    typing among them.
+    """
+    wrapped = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return set(_fresh_python(wrapped, flags=("-S",)).split())
+
+
+def fresh_cli_modules(*argv: str) -> tuple[str, set[str]]:
+    """stdout of ``cli.main(argv)`` in a fresh interpreter, and the modules
+    that the CLI's import and the call load (``fresh_modules``)."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from plotkin_wef.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps([out.getvalue(), sorted(set(sys.modules) - before)]))\n"
+    )
+    out, modules = json.loads(_fresh_python(code, *argv, flags=("-S",)))
+    return out, set(modules)
 
 
 def literal_combine(u_enum: WeightEnumerator, v_enum: WeightEnumerator) -> WeightEnumerator:

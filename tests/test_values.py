@@ -3,16 +3,12 @@ equality, hashing, repr, immutability, pickle and copy; importing the
 package loads neither ``dataclasses`` nor what it imports."""
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import plotkin_wef
+from helpers import fresh_modules
 from plotkin_wef import (
     BinaryMatrix,
     Branch,
@@ -146,15 +142,6 @@ def test_monte_carlo_estimate_unpacks_as_a_pair():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # -S: the site module of some installations imports typing itself.
-    code = (
-        "import sys; before = set(sys.modules); import plotkin_wef.cli;"
-        " print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(plotkin_wef.__file__).resolve().parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout.split()
-    assert "plotkin_wef.cli" in out
-    assert not {"dataclasses", "inspect", "typing"} & set(out)
+    loaded = fresh_modules("import plotkin_wef.cli")
+    assert "plotkin_wef.cli" in loaded
+    assert not {"dataclasses", "inspect", "typing"} & loaded
