@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 from .enumerator import Value, WeightEnumerator
 

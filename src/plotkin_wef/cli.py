@@ -53,7 +53,10 @@ import time
 
 from .enumerator import (
     WeightEnumerator,
+    _as_fraction,
+    common_denominator,
     dump_json,
+    fractions_over,
     is_int,
     render_poly,
     spectrum_from_json,
@@ -62,32 +65,23 @@ from .enumerator import (
 from .errors import BudgetError
 from .plotkin import combine_int
 
-# Names bound here on first use, from the module that defines them, so that
-# a command loads only the modules it runs: codetree for rm and tree, bounds
-# for bound.  The handlers call them as attributes of this module (_self),
-# and an existing binding is never replaced, so a name patched here, as
-# perfbench's tracer and the tests patch them, is the one called.
-# ensemble_wef, format_poly, combine and combine_single_weight are not called
-# here; the tracer looks them up here for its per-layer entry points.
+# Names bound here on first use from the package namespace, which imports
+# each from its home module, so that a command loads only the modules it
+# runs: codetree for rm and tree, bounds for bound.  The handlers call them
+# as attributes of this module (_self), and an existing binding is never
+# replaced, so a name patched here, as perfbench's tracer and the tests patch
+# them, is the one called.  ensemble_wef, format_poly, combine and
+# combine_single_weight are not called here; the tracer looks them up here.
 _LAZY = {
-    "ensemble_wef": "codetree",
-    "rm_tree": "codetree",
-    "tree_from_json_dict": "codetree",
-    "truncated_union_bound": "bounds",
-    "format_poly": "enumerator",
-    "combine": "plotkin",
-    "combine_single_weight": "plotkin",
+    "ensemble_wef", "rm_tree", "tree_from_json_dict", "truncated_union_bound",
+    "format_poly", "combine", "combine_single_weight",
 }
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = f"{__package__}.{_LAZY[name]}"
-    # Through the import statement's own __import__, which -X importtime
-    # reports, unlike importlib.import_module.
-    __import__(module)
-    return globals().setdefault(name, getattr(sys.modules[module], name))
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 # This module, through which the handlers call the names of _LAZY.
@@ -186,11 +180,9 @@ def _record(command: str, input_echo, dimension, spectrum: dict, partial):
 
 
 def _parse_rate(text: str) -> float:
-    from fractions import Fraction
-
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+        return float(_as_fraction(text))
+    except ValueError:
         raise ValueError(f"bad rate {text!r}: use a float or p/q") from None
 
 
@@ -283,9 +275,9 @@ def _cmd_oracle(args) -> dict:
         echo["samples"] = args.samples
         echo["seed"] = args.seed
         enum, stderrs = ensemble_wef_montecarlo(G0, G1, args.samples, args.seed)
-    mass = enum.total_mass()
-    dimension = _dimension(mass.numerator, mass.denominator)
-    record = _record("oracle", echo, dimension, enum.to_json_dict(), None)
+    den, nums = common_denominator(enum.coeffs)
+    spectrum = spectrum_to_json(enum.length, den, nums)
+    record = _record("oracle", echo, _dimension(sum(nums), den), spectrum, None)
     if stderrs is not None:
         record["stderr"] = {
             str(w): stderrs[w] for w, c in enumerate(enum.coeffs) if c or stderrs[w]
@@ -294,8 +286,6 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
-    from fractions import Fraction
-
     from .bounds import ChannelPoint
 
     obj, partial = _spectrum_obj(args.spectrum_file)
@@ -308,7 +298,7 @@ def _cmd_bound(args) -> dict:
     _check_record_covers(args.spectrum_file, partial, args.truncate)
     # The bound reads the weights 1..W only, so only the prefix 0..W becomes
     # Fractions, each in lowest terms as a full enumerator would hold it.
-    prefix = tuple(Fraction(num, den) for num in nums[: args.truncate + 1])
+    prefix = fractions_over(den, nums[: args.truncate + 1])
     value = _self.truncated_union_bound(
         WeightEnumerator(args.truncate, prefix), args.truncate, channel
     )

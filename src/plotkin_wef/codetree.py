@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .enumerator import Value, WeightEnumerator, is_int
+from .enumerator import Value, WeightEnumerator, fractions_over, is_int
 from .plotkin import combine_int
 
 
@@ -219,10 +219,7 @@ def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
 def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]:
     """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree),
     at the cost given in ensemble_wef_int."""
-    from fractions import Fraction
-
-    den, nums = ensemble_wef_int(tree, max_weight)
-    return tuple(Fraction(num, den) for num in nums)
+    return fractions_over(*ensemble_wef_int(tree, max_weight))
 
 
 def ensemble_wef(tree: CodeTree) -> WeightEnumerator:

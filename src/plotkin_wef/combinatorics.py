@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from operator import add
 
+from .enumerator import _fraction_class
+
 
 class BinomialTable:
     """Rows 0..max_n of Pascal's triangle: ``rows[a]`` is [C(a, 0), ..., C(a, a)].
@@ -97,8 +99,6 @@ def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:
     is inside its support).  The five binomials come from ``math.comb``; the
     shared table is not grown for them.
     """
-    from fractions import Fraction
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= w <= 2 * n:
@@ -116,4 +116,4 @@ def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:
     a = w - v_weight
     numerator = math.comb(n, a) * math.comb(a, v_only) * math.comb(n - a, v_weight - v_only)
     denominator = math.comb(n, v_weight) * math.comb(n, w - 2 * v_only)
-    return Fraction(numerator, denominator)
+    return _fraction_class()(numerator, denominator)

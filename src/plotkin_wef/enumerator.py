@@ -10,6 +10,9 @@ nums[w] / den) convert both ways without a Fraction per coefficient:
 ``spectrum_from_json`` reads it, with the canonical JSON echo, and
 ``spectrum_to_json`` is the one writer of that canonical JSON.
 ``WeightEnumerator.from_json_dict`` and ``to_json_dict`` wrap the two.
+Fractions are built here alone: ``fractions_over`` views the integer form
+as Fractions, ``common_denominator`` is its inverse, and ``_fraction_class``
+is the package's one import of ``fractions``.
 The "coeffs" block both make is a ``CanonicalCoeffs``, whose keys and texts
 need no JSON escaping, and ``dump_json`` writes the text of
 ``json.dump(obj, fp, indent=2)`` with those blocks spliced in unescaped.
@@ -25,7 +28,7 @@ import math
 import re
 import sys
 
-from .errors import PolyParseError
+from .errors import BudgetError, PolyParseError
 
 # One term of parse_poly's text, compiled on first use (by re's cache) rather
 # than at import: no CLI command parses a polynomial.
@@ -47,6 +50,11 @@ def _fraction_class():
     return Fraction
 
 
+# The largest decimal exponent that _as_fraction reads: Python's default
+# limit on the digits of an int/str conversion.
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
+
+
 def _as_fraction(value) -> Fraction:
     Fraction = _fraction_class()
     if isinstance(value, Fraction):
@@ -54,6 +62,16 @@ def _as_fraction(value) -> Fraction:
     if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would expand "1e20000000" into 20 million digits; the
+        # digits after the last "e" are counted before any are converted.
+        _, e, exponent = value.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT
+        ):
+            raise BudgetError(
+                f"{value[:50]!r}: decimal exponent above {_MAX_EXPONENT} in magnitude"
+            )
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -63,8 +81,15 @@ def _as_fraction(value) -> Fraction:
     )
 
 
+def fractions_over(den: int, nums) -> tuple[Fraction, ...]:
+    """The Fractions nums[j] / den: the integer form as coefficients."""
+    Fraction = _fraction_class()
+    return tuple(Fraction(num, den) for num in nums)
+
+
 def common_denominator(coeffs) -> tuple[int, list[int]]:
-    """Return (den, nums) with coeffs[j] == nums[j] / den exactly, den minimal."""
+    """Return (den, nums) with coeffs[j] == nums[j] / den exactly, den minimal;
+    the inverse of ``fractions_over``."""
     den = math.lcm(*[c.denominator for c in coeffs])
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     return den, nums
@@ -153,8 +178,7 @@ class WeightEnumerator(Value):
     @classmethod
     def from_json_dict(cls, obj) -> "WeightEnumerator":
         den, nums, _ = spectrum_from_json(obj)
-        Fraction = _fraction_class()
-        return cls(len(nums) - 1, tuple(Fraction(num, den) for num in nums))
+        return cls(len(nums) - 1, fractions_over(den, nums))
 
     def __str__(self) -> str:
         return format_poly(self)

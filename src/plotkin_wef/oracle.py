@@ -21,10 +21,9 @@ import random
 import warnings
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from operator import add, sub
 
-from .enumerator import Value, WeightEnumerator, common_denominator, is_int
+from .enumerator import Value, WeightEnumerator, common_denominator, fractions_over, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
 BRUTE_FORCE_MAX_DIMENSION = 24
@@ -66,14 +65,12 @@ class BinaryMatrix(Value):
         for s in strings:
             if len(s) != n or set(s) - {"0", "1"}:
                 raise ValueError(f"bad row {s!r}: need {n} characters from 0/1")
-            rows.append(sum(1 << j for j, c in enumerate(s) if c == "1"))
+            # Joined: a row may also be a list of "0"/"1" strings.
+            rows.append(int("".join(s)[::-1] or "0", 2))
         return cls(n, tuple(rows))
 
     def to_strings(self) -> list[str]:
-        return [
-            "".join("1" if (row >> j) & 1 else "0" for j in range(self.n))
-            for row in self.rows
-        ]
+        return [format(row, f"0{self.n}b")[::-1] for row in self.rows]
 
     def row_space_basis(self) -> tuple[int, ...]:
         """A basis of the row space (row echelon by leading bit)."""
@@ -192,7 +189,7 @@ def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
         )
     counts = [0] * (G.n + 1)
     _accumulate_span_weights(basis, 0, 0, counts)
-    return WeightEnumerator(G.n, tuple(Fraction(c) for c in counts))
+    return WeightEnumerator(G.n, counts)
 
 
 def _instance_counts(basis_u, basis_v, perm_mapping, n: int) -> list[int]:
@@ -230,8 +227,7 @@ def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumera
         for v in span_v:
             pv = _permute_bits(v, perm)
             _accumulate_span_weights(basis_u, pv, v.bit_count(), totals)
-    n_fact = math.factorial(n)
-    return WeightEnumerator(2 * n, tuple(Fraction(t, n_fact) for t in totals))
+    return WeightEnumerator(2 * n, fractions_over(math.factorial(n), totals))
 
 
 # spectrum: the mean WeightEnumerator; stderrs: a tuple of floats, one per weight.
@@ -269,20 +265,14 @@ def ensemble_wef_montecarlo(
             if c:
                 sums[w] += c
                 sums_sq[w] += c * c
-    means = tuple(Fraction(s, samples) for s in sums)
+    means = fractions_over(samples, sums)
     if samples == 1:
         stderrs = (0.0,) * (2 * n + 1)
     else:
+        # int / int rounds the exact quotient once, as float(Fraction) does.
+        scale = samples * samples * (samples - 1)
         stderrs = tuple(
-            math.sqrt(
-                float(
-                    Fraction(
-                        samples * sq - s * s,
-                        samples * samples * (samples - 1),
-                    )
-                )
-            )
-            for s, sq in zip(sums, sums_sq)
+            math.sqrt((samples * sq - s * s) / scale) for s, sq in zip(sums, sums_sq)
         )
     return MonteCarloEstimate(WeightEnumerator(2 * n, means), stderrs)
 
@@ -316,4 +306,4 @@ def macwilliams(coeffs) -> tuple[Fraction, ...]:
         raise ValueError("the MacWilliams transform needs a nonzero sum of coefficients")
     shifted = _taylor_shift(nums, sub)
     scaled = [c << w for w, c in enumerate(shifted)]
-    return tuple(Fraction(c, mass) for c in _taylor_shift(scaled[::-1], add))
+    return fractions_over(mass, _taylor_shift(scaled[::-1], add))

@@ -58,7 +58,7 @@ from operator import add, mul
 
 from . import kernel
 from .combinatorics import shared_table
-from .enumerator import WeightEnumerator, common_denominator
+from .enumerator import WeightEnumerator, common_denominator, fractions_over
 
 
 def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
@@ -152,13 +152,9 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
 def _window(n: int, u_coeffs, v_coeffs, lo: int, hi: int) -> tuple[Fraction, ...]:
     """Coefficients of x^lo..x^min(hi, 2n) of the combine of two length-n
     spectra given as coefficient sequences, read up to weight min(hi, n)."""
-    from fractions import Fraction
-
     k = min(hi, n) + 1
-    den, nums = combine_int(
-        n, common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k]), hi, lo
-    )
-    return tuple(Fraction(num, den) for num in nums)
+    u, v = common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k])
+    return fractions_over(*combine_int(n, u, v, hi, lo))
 
 
 def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fraction, ...]:

@@ -38,6 +38,21 @@ def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     return proc.stdout
 
 
+def fresh_cli_run(*argv: str, timeout: float = 30) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter.  One
+    still running after ``timeout`` seconds is killed and fails the test,
+    where a call in the test's own process would hang it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "plotkin_wef.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def fresh_table_rows(*argv: str) -> int:
     """Rows in the shared binomial table after ``cli.main(argv)`` in a fresh
     interpreter; no argv runs the import alone."""

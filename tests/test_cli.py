@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import any_int_digits, fresh_cli_modules
+from helpers import any_int_digits, fresh_cli_modules, fresh_cli_run
 from plotkin_wef import (
     BinaryMatrix,
     WeightEnumerator,
@@ -194,6 +194,27 @@ class TestCombine:
         )
         assert record["spectrum"] == expected.to_json_dict()
 
+    @pytest.mark.parametrize("text", ["1e20000000", "1E2000000", "1e-20000000"])
+    def test_huge_exponent_exit_3_at_once(self, tmp_path, text):
+        # Fraction would expand the text into millions of digits; in a fresh
+        # interpreter, a hang fails the test instead of stalling the run.
+        u = write_json(tmp_path / "u.json", {"n": 1, "coeffs": {"0": text, "1": "1"}})
+        v = write_json(tmp_path / "v.json", {"n": 1, "coeffs": {"0": "1", "1": "1"}})
+        code, out, err = fresh_cli_run("combine", u, v)
+        assert (code, out) == (3, "")
+        assert err == f"error: {text!r}: decimal exponent above 4300 in magnitude\n"
+
+    def test_exponents_up_to_the_bound_are_read(self, capsys, tmp_path):
+        exact = {"0": "1", "1": "1" + "0" * 4300, "2": "1/" + "1" + "0" * 4300}
+        spelled = {"0": "1", "1": "1e4300", "2": "1E-4300"}
+        u = write_json(tmp_path / "u.json", {"n": 2, "coeffs": spelled})
+        code, out, err = run(capsys, "combine", u, u, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["input"]["u"]["coeffs"] == exact
+        u = write_json(tmp_path / "u.json", {"n": 2, "coeffs": {**spelled, "1": "1e4301"}})
+        code, out, err = run(capsys, "combine", u, u)
+        assert (code, out) == (3, "")
+
     def test_repeated_values_in_any_spelling(self, capsys, tmp_path):
         # Palindromic spectra repeat nearly every value; each distinct input
         # text and output numerator is converted once per call.
@@ -336,6 +357,21 @@ class TestOracle:
         assert record["input"]["seed"] == 7
         assert "3" in record["stderr"]
 
+    def test_montecarlo_stderrs_are_pinned(self, capsys, tmp_path):
+        # Recorded when each standard error was float() of a Fraction; the
+        # integer true division must round every one the same way.
+        g0 = write_json(tmp_path / "g0.json", {"n": 6, "rows": ["110000", "001101"]})
+        g1 = write_json(tmp_path / "g1.json", {"n": 6, "rows": ["101000", "010110"]})
+        argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "25", "--seed", "11"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["stderr"] == {
+            "0": 0.0, "2": 0.066332495807108, "3": 0.08164965809277261,
+            "4": 0.09521904571390467, "5": 0.21385353243127253,
+            "6": 0.1451436070471816, "7": 0.1451436070471816,
+            "8": 0.11430952132988165, "9": 0.12909944487358055, "10": 0.1,
+        }
+
     def test_budget_exit_3(self, capsys, tmp_path):
         g0 = write_json(
             tmp_path / "g0.json", {"n": 8, "rows": ["10000000"]}
@@ -446,6 +482,24 @@ class TestBound:
             run(capsys, "bound", path, "--rate", "x", "--ebn0", "3", "--truncate", "2")[0]
             == 2
         )
+
+    @pytest.mark.parametrize(("text", "rate"), [("1e-3", 0.001), ("2.5e-2", 0.025)])
+    def test_rate_with_an_exponent(self, capsys, tmp_path, text, rate):
+        path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
+        argv = ["bound", path, "--rate", text, "--ebn0", "3", "--truncate", "2"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["bound"]["rate"] == rate
+
+    def test_huge_rate_exponent_exit_3_at_once(self, tmp_path):
+        # Fraction would expand 1e-20000000 into a 20-million-digit integer;
+        # in a fresh interpreter, a hang fails the test.
+        path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1"}})
+        code, out, err = fresh_cli_run(
+            "bound", path, "--rate", "1e-20000000", "--ebn0", "3", "--truncate", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: '1e-20000000': decimal exponent above 4300 in magnitude\n"
 
     def test_truncate_out_of_range_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1"}})
@@ -770,11 +824,8 @@ class TestRoundTrips:
     @pytest.mark.parametrize("case", ["rm", "rm-partial", "tree", "combine-partial"])
     def test_poly_renders_the_record_without_fractions(self, capsys, tmp_path, case):
         # The poly line is rendered from the record's texts, so a fresh
-        # interpreter that prints it never loads fractions.  tree runs
-        # without --emit-generator: the oracle module it loads builds
-        # Fractions.
-        argv = [a for a in self.spectrum_argv(tmp_path, case) if a != "--emit-generator"]
-        argv += ["--format", "poly"]
+        # interpreter that prints it never loads fractions.
+        argv = [*self.spectrum_argv(tmp_path, case), "--format", "poly"]
         code, expected, _ = run(capsys, *argv)
         assert code == 0
         out, modules = fresh_cli_modules(*argv)

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import any_int_digits
-from plotkin_wef import PolyParseError, WeightEnumerator, format_poly, parse_poly
+from plotkin_wef import BudgetError, PolyParseError, WeightEnumerator, format_poly, parse_poly
 from plotkin_wef.enumerator import (
     _reduce_groups,
     common_denominator,
@@ -58,6 +58,12 @@ def test_parse_error_carries_position():
 def test_parse_rejects_exponent_beyond_length():
     with pytest.raises(ValueError):
         parse_poly("x^4", 3)
+
+
+def test_a_huge_exponent_is_refused_before_it_is_expanded():
+    with pytest.raises(BudgetError, match="decimal exponent above 4300"):
+        WeightEnumerator(1, ["1e20000000", 1])
+    assert WeightEnumerator(1, ["1e3", "2.5e-2"]).coeffs == (1000, Fraction(1, 40))
 
 
 def test_format_examples():

@@ -46,11 +46,22 @@ def test_an_unknown_name_raises_attribute_error(module):
     assert not hasattr(module, "Fraction")
 
 
+# fractions loads decimal and numbers; together they cost a short call
+# several milliseconds of start-up.
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+
+
 def test_the_package_import_loads_no_submodule():
     loaded = fresh_modules("import plotkin_wef")
     assert "plotkin_wef" in loaded
     assert not {m for m in loaded if m.startswith("plotkin_wef.")}
-    assert not {"fractions", "decimal"} & loaded
+    assert not FRACTION_MODULES & loaded
+
+
+def test_oracle_and_bounds_load_fractions_only_to_build_one():
+    loaded = fresh_modules("import plotkin_wef.oracle, plotkin_wef.bounds")
+    assert {"plotkin_wef.oracle", "plotkin_wef.bounds"} <= loaded
+    assert not FRACTION_MODULES & loaded
 
 
 def test_a_submodule_and_a_name_load_on_first_access():
@@ -140,6 +151,7 @@ def test_emit_generator_loads_oracle(capsys, tmp_path):
     out, loaded = fresh_cli_modules(*argv)
     assert "plotkin_wef.oracle" in loaded
     assert "plotkin_wef.bounds" not in loaded
+    assert not FRACTION_MODULES & loaded
     assert cli.main(argv) == 0
     assert out == capsys.readouterr().out
     assert out.splitlines()[1:] == ["11110000", "11001100", "10101010", "11111111"]

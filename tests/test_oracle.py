@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_matrix
 from plotkin_wef import (
@@ -48,6 +50,22 @@ class TestBinaryMatrix:
             BinaryMatrix(0, ())
         with pytest.raises(ValueError):
             BinaryMatrix.from_strings([])
+
+    @given(
+        st.integers(1, 300).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+        )
+    )
+    def test_rows_match_a_per_bit_reference(self, case):
+        n, rows = case
+        m = BinaryMatrix(n, rows)
+        texts = ["".join("1" if row >> j & 1 else "0" for j in range(n)) for row in rows]
+        assert m.to_strings() == texts
+        assert BinaryMatrix.from_strings(texts, n) == m
+        # A row may also be given as a JSON array of "0"/"1" strings.
+        listed = BinaryMatrix.from_json_dict({"n": n, "rows": [list(t) for t in texts]})
+        assert listed == m
+        assert listed.to_json_dict() == {"n": n, "rows": texts}
 
     def test_empty_matrix_needs_explicit_n(self):
         m = BinaryMatrix.from_strings([], n=3)
