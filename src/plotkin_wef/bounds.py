@@ -1,10 +1,11 @@
 """Truncated union bound over the binary-input AWGN channel.
 
-The one floating-point corner of the package: spectra arrive exact and are
-converted to floats term by term, through logarithms for a coefficient beyond
-float range or a Gaussian tail below the normal floats.  BPSK signalling is
-assumed, so a weight-w pairwise error event has argument
-sqrt(2 * w * rate * 10^(ebn0_db/10)).
+The one floating-point corner of the package: spectra arrive exact, in the
+integer form ``(den, nums)`` of the rest of the package (coefficient w is
+nums[w] / den), and are converted to floats term by term, through logarithms
+for a coefficient beyond float range or a Gaussian tail below the normal
+floats; no Fraction is built.  BPSK signalling is assumed, so a weight-w
+pairwise error event has argument sqrt(2 * w * rate * 10^(ebn0_db/10)).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .enumerator import Value, WeightEnumerator
+from .enumerator import Value
 
 
 class ChannelPoint(Value):
@@ -61,52 +62,56 @@ def _argument_beyond_float_range(w: int, channel: ChannelPoint) -> float:
     return math.exp(log_square / 2.0)
 
 
-def _term(coeff: Fraction, x: float) -> float:
-    """A_w * Q(x); in the log domain when A_w exceeds float range or Q(x)
-    is below the normal floats, where the float product would lose a
-    large A_w."""
-    if x == math.inf:
-        # Q(inf) = 0 exactly, whatever the size of A_w.
-        return 0.0
+def _term(num: int, den: int, x: float) -> float:
+    """(num / den) * Q(x); in the log domain when num / den exceeds float
+    range or Q(x) is below the normal floats, where the float product would
+    lose a large coefficient, and 0.0 at x = inf, where log Q(x) is -inf.
+    Int true division rounds as float(Fraction) does, in lowest terms or
+    not; the logs are taken in lowest terms."""
     q = q_function(x)
     if q >= sys.float_info.min:
         try:
-            return float(coeff) * q
+            return num / den * q
         except OverflowError:
             pass
+    g = math.gcd(num, den)
     try:
-        return math.exp(
-            math.log(coeff.numerator) - math.log(coeff.denominator) + _log_q_function(x)
-        )
+        return math.exp(math.log(num // g) - math.log(den // g) + _log_q_function(x))
     except OverflowError:
         return math.inf
 
 
-def truncated_union_bound(
-    spectrum: WeightEnumerator, truncate: int, channel: ChannelPoint
-) -> float:
-    """Union bound on block error probability using weights 1..truncate.
+def truncated_union_bound(spectrum, truncate: int, channel: ChannelPoint) -> float:
+    """Union bound on block error probability using weights 1..truncate of
+    a spectrum ``(den, nums)`` in integer form, coefficient w = nums[w] / den,
+    as ``plotkin.combine_int`` returns it; any common denominator will do.
 
     Returns sum over w of A_w * Q(sqrt(2 * w * rate * gamma)) with
     gamma = 10^(ebn0_db / 10), taken through logarithms when gamma is above
-    float range; nondecreasing in ``truncate``.  Raises ValueError when the
-    sum exceeds float range.
+    float range; nondecreasing in ``truncate``.  Raises ValueError for a
+    ``truncate`` outside 1..n, a denominator below 1, a negative coefficient
+    among the weights read, or a sum beyond float range.
     """
-    if not 1 <= truncate <= spectrum.length:
-        raise ValueError(f"truncate {truncate} outside 1..{spectrum.length}")
+    den, nums = spectrum
+    if not 1 <= truncate < len(nums):
+        raise ValueError(f"truncate {truncate} outside 1..{len(nums) - 1}")
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
     try:
         gamma = 10.0 ** (channel.ebn0_db / 10.0)
     except OverflowError:
         gamma = None
     total = 0.0
     for w in range(1, truncate + 1):
-        coeff = spectrum.coeffs[w]
-        if coeff:
+        num = nums[w]
+        if num:
+            if num < 0:
+                raise ValueError(f"coefficient of x^{w} is negative: {num}/{den}")
             if gamma is None:
                 x = _argument_beyond_float_range(w, channel)
             else:
                 x = math.sqrt(2.0 * w * channel.rate * gamma)
-            total += _term(coeff, x)
+            total += _term(num, den, x)
     if not math.isfinite(total):
         raise ValueError("union bound exceeds float range at this channel point")
     return total

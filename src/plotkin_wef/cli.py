@@ -25,10 +25,10 @@ input: each distinct "p/q" text is read with one int(), and the texts over
 a shared denominator are reduced together, with one gcd with it;
 combine --partial W echoes the integer texts above W unconverted), and
 enumerator.spectrum_to_json reduces each nonzero coefficient to lowest
-terms only when it is written out.  Fractions are built only by
-oracle and by bound, for its rate and the weights 1..W that --truncate W
-reads, and only they load the fractions module.  Integers of any size are
-read and written: main lifts Python's limit on int/str conversion for the
+terms only when it is written out; bound sums its union bound over that
+form too.  Fractions are built only by oracle and by bound for its --rate,
+and only they load the fractions module.  Integers of any size are read
+and written: main lifts Python's limit on int/str conversion for the
 duration of the call.
 
 A spectrum file may be an output record.  A record written with --partial P
@@ -52,11 +52,9 @@ import sys
 import time
 
 from .enumerator import (
-    WeightEnumerator,
     _as_fraction,
     common_denominator,
     dump_json,
-    fractions_over,
     is_int,
     render_poly,
     spectrum_from_json,
@@ -296,12 +294,7 @@ def _cmd_bound(args) -> dict:
     if not 1 <= args.truncate <= n:
         raise ValueError(f"truncate {args.truncate} outside 1..{n}")
     _check_record_covers(args.spectrum_file, partial, args.truncate)
-    # The bound reads the weights 1..W only, so only the prefix 0..W becomes
-    # Fractions, each in lowest terms as a full enumerator would hold it.
-    prefix = fractions_over(den, nums[: args.truncate + 1])
-    value = _self.truncated_union_bound(
-        WeightEnumerator(args.truncate, prefix), args.truncate, channel
-    )
+    value = _self.truncated_union_bound((den, nums), args.truncate, channel)
     dimension = _dimension(sum(nums), den) if partial is None else None
     # The echoed spectrum of a partial record is partial too.
     record = _record("bound", {"spectrum": spectrum}, dimension, spectrum, partial)

@@ -17,6 +17,7 @@ from plotkin_wef import (
 from plotkin_wef import cli
 from plotkin_wef.bounds import ChannelPoint
 from plotkin_wef.cli import main
+from plotkin_wef.enumerator import common_denominator
 
 
 def run(capsys, *argv):
@@ -236,7 +237,9 @@ class TestCombine:
         channel = ("--rate", "1/2", "--ebn0", "3", "--truncate", "12")
         code, out, err = run(capsys, "bound", out_path, *channel)
         assert code == 0, err
-        value = truncated_union_bound(expected, 12, ChannelPoint(0.5, 3.0))
+        value = truncated_union_bound(
+            common_denominator(expected.coeffs), 12, ChannelPoint(0.5, 3.0)
+        )
         assert out == f"{value!r}\n"
 
     @pytest.mark.parametrize(
@@ -449,7 +452,9 @@ class TestBound:
         )
         assert code == 0
         expected = truncated_union_bound(
-            WeightEnumerator.from_json_dict(spectrum), 8, ChannelPoint(0.5, 3.0)
+            common_denominator(WeightEnumerator.from_json_dict(spectrum).coeffs),
+            8,
+            ChannelPoint(0.5, 3.0),
         )
         assert float(out.strip()) == expected
 
@@ -853,8 +858,12 @@ class TestRoundTrips:
         record_path = tmp_path / "combined.json"
         record_path.write_text(outs["json"], encoding="utf-8")
         bounds = [
-            (u_path, 4, truncated_union_bound(u, 4, channel)),
-            (str(record_path), 8, truncated_union_bound(expected, 8, channel)),
+            (u_path, 4, truncated_union_bound(common_denominator(u.coeffs), 4, channel)),
+            (
+                str(record_path),
+                8,
+                truncated_union_bound(common_denominator(expected.coeffs), 8, channel),
+            ),
         ]
         for path, truncate, value in bounds:
             code, out, err = run(

@@ -126,6 +126,13 @@ def test_combine_loads_no_tree_oracle_bound_or_fraction_modules(spectrum_files, 
     assert not unwanted & loaded
 
 
+def test_bound_loads_no_tree_or_oracle_modules(spectrum_files):
+    argv = ["bound", spectrum_files[0], "--rate", "1/2", "--ebn0", "3", "--truncate", "4"]
+    _, loaded = fresh_cli_modules(*argv)
+    assert "plotkin_wef.bounds" in loaded
+    assert not {"plotkin_wef.codetree", "plotkin_wef.oracle"} & loaded
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -51,6 +51,22 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError):
             BinaryMatrix.from_strings([])
 
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            (["0110", ["0", "1", "2", "0"], "011"], ["0", "1", "2", "0"]),
+            ([["0", "1", "1", "0"], "011", "01x0"], "011"),
+            ([["0", "1", "1", "0"], "01x0", ["0", "1"]], "01x0"),
+        ],
+    )
+    def test_the_error_names_the_first_bad_row_of_mixed_rows(self, rows, bad):
+        # Rows given as text and as arrays of "0"/"1" strings in one matrix:
+        # a bad character or a too-short row, whichever comes first.
+        message = f"bad row {bad!r}: need 4 characters from 0/1"
+        with pytest.raises(ValueError) as excinfo:
+            BinaryMatrix.from_strings(rows, 4)
+        assert str(excinfo.value) == message
+
     @given(
         st.integers(1, 300).flatmap(
             lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=4))
