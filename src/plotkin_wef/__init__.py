@@ -26,7 +26,7 @@ _EXPORTS = {
         "active_leaves",
         "dual_tree",
         "ensemble_wef",
-        "ensemble_wef_prefix",
+        "ensemble_wef_int",
         "generator_matrix",
         "rm_tree",
         "tree_from_active_set",
@@ -34,7 +34,9 @@ _EXPORTS = {
         "tree_to_json_dict",
     ),
     "combinatorics": ("BinomialTable", "binomial", "plotkin_coefficient", "shared_table"),
-    "enumerator": ("WeightEnumerator", "format_poly", "parse_poly"),
+    "enumerator": (
+        "WeightEnumerator", "common_denominator", "format_poly", "fractions_over", "parse_poly",
+    ),
     "errors": ("BudgetError", "PolyParseError", "RankDeficiencyWarning"),
     "oracle": (
         "BinaryMatrix",
@@ -46,7 +48,7 @@ _EXPORTS = {
         "macwilliams",
         "uniform_permutation",
     ),
-    "plotkin": ("combine", "combine_prefix", "combine_single_weight", "min_distance_combine"),
+    "plotkin": ("combine", "combine_int", "combine_single_weight", "min_distance_combine"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli", "kernel")

@@ -39,7 +39,8 @@ A command loads the modules it runs and no others, since every CLI call is
 a fresh interpreter and its imports are a large share of a short call.
 Every command loads the spectrum I/O of enumerator and plotkin.combine_int;
 rm and tree add codetree, bound adds bounds, and oracle and
-tree --emit-generator add oracle.
+tree --emit-generator add oracle.  Every public name of the package also
+resolves as an attribute of this module, imported on first access.
 """
 
 from __future__ import annotations
@@ -63,26 +64,21 @@ from .enumerator import (
 from .errors import BudgetError
 from .plotkin import combine_int
 
-# Names bound here on first use from the package namespace, which imports
-# each from its home module, so that a command loads only the modules it
-# runs: codetree for rm and tree, bounds for bound.  The handlers call them
-# as attributes of this module (_self), and an existing binding is never
-# replaced, so a name patched here, as perfbench's tracer and the tests patch
-# them, is the one called.  ensemble_wef, format_poly, combine and
-# combine_single_weight are not called here; the tracer looks them up here.
-_LAZY = {
-    "ensemble_wef", "rm_tree", "tree_from_json_dict", "truncated_union_bound",
-    "format_poly", "combine", "combine_single_weight",
-}
-
-
+# Every public name of the package is bound here on first use, from the
+# package namespace, which imports it from its home module; so a command
+# loads only the modules it runs: codetree for rm and tree, bounds for
+# bound.  The handlers call rm_tree, tree_from_json_dict and
+# truncated_union_bound as attributes of this module (_self), and an
+# existing binding is never replaced, so a name patched here, as
+# perfbench's tracer and the tests patch them, is the one called.
 def __getattr__(name: str):
-    if name not in _LAZY:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+    return globals().setdefault(name, getattr(package, name))
 
 
-# This module, through which the handlers call the names of _LAZY.
+# This module, through which the handlers call the package's names.
 _self = sys.modules[__name__]
 
 DEFAULT_MAX_LENGTH = 4096
@@ -178,9 +174,10 @@ def _record(command: str, input_echo, dimension, spectrum: dict, partial):
 
 
 def _parse_rate(text: str) -> float:
+    # float() raises OverflowError on a rate beyond the float range, e.g. 1e400.
     try:
         return float(_as_fraction(text))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"bad rate {text!r}: use a float or p/q") from None
 
 

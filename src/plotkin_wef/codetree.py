@@ -15,7 +15,7 @@ hash from its children's once, at construction, and ``rm_tree`` and
 ``tree_from_active_set`` build each distinct subtree once and share it, so
 the per-call memo of ``ensemble_wef_int`` finds a repeated subtree by
 identity.  That recursion carries every spectrum as ``(den, nums)`` (see
-plotkin.py); ``ensemble_wef_prefix`` and ``ensemble_wef`` wrap it.
+plotkin.py); ``ensemble_wef`` is its Fraction view.
 """
 
 from __future__ import annotations
@@ -189,8 +189,9 @@ def depth_of(tree: CodeTree) -> int:
 
 
 def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
-    """Integer form ``(den, nums)`` of ensemble_wef_prefix(tree, max_weight):
-    coefficient w is nums[w] / den, over the least common denominator.
+    """The weights 0..min(max_weight, length) of ensemble_wef(tree) in integer
+    form ``(den, nums)``: coefficient w is nums[w] / den, over the least
+    common denominator.
 
     Every node keeps only its weights <= max_weight, which is all its parent
     needs (plotkin.combine_int), so a small ``max_weight`` costs O(W^2)
@@ -216,12 +217,6 @@ def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
     return wef(tree)
 
 
-def ensemble_wef_prefix(tree: CodeTree, max_weight: int) -> tuple[Fraction, ...]:
-    """Coefficients of x^0..x^min(max_weight, length) of ensemble_wef(tree),
-    at the cost given in ensemble_wef_int."""
-    return fractions_over(*ensemble_wef_int(tree, max_weight))
-
-
 def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
     """Spectrum of the tree ensemble with an independent uniform interleaver
     at every internal node, evaluated leaves-to-root.
@@ -229,7 +224,7 @@ def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
     Frozen leaf -> 1; active leaf -> 1 + x; branch -> combine(left, right).
     Structurally equal subtrees are evaluated once per call.
     """
-    return WeightEnumerator(tree.length, ensemble_wef_prefix(tree, tree.length))
+    return WeightEnumerator(tree.length, fractions_over(*ensemble_wef_int(tree, tree.length)))
 
 
 def dual_tree(tree: CodeTree) -> CodeTree:

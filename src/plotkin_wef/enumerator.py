@@ -154,23 +154,6 @@ class WeightEnumerator(Value):
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def coefficient(self, w: int) -> Fraction:
-        if not 0 <= w <= self.length:
-            raise ValueError(f"weight {w} outside 0..{self.length}")
-        return self.coeffs[w]
-
-    def total_mass(self) -> Fraction:
-        """Sum of all coefficients: the (expected) number of codewords."""
-        den, nums = common_denominator(self.coeffs)
-        return _fraction_class()(sum(nums), den)
-
-    def min_positive_weight(self) -> int | None:
-        """Smallest w > 0 with a nonzero coefficient, or None if there is none."""
-        for w in range(1, self.length + 1):
-            if self.coeffs[w]:
-                return w
-        return None
-
     def to_json_dict(self) -> dict:
         """Canonical JSON form; zero coefficients omitted, values as strings."""
         return spectrum_to_json(self.length, *common_denominator(self.coeffs))

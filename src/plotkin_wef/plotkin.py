@@ -37,17 +37,17 @@ common denominator, so a tree recursion (codetree.ensemble_wef_int) and the
 CLI never build a Fraction per coefficient.  Its callers hand it each input
 prefix in lowest terms already (enumerator.spectrum_from_json, the output of
 an earlier ``combine_int``, enumerator.common_denominator), so nothing is
-reduced on the way in.  ``combine``, ``combine_prefix`` and
-``combine_single_weight`` are Fraction views of it for the public API.
+reduced on the way in.  ``combine`` and ``combine_single_weight`` are
+Fraction views of it, through enumerator.common_denominator and
+enumerator.fractions_over.
 
 An output word of weight w has a u-part and a v-part of weight at most w, so
 the output weights 0..W need only the component weights 0..min(W, n).
 ``combine_int`` evaluates a window of output weights lo..W from just those:
-``combine_prefix`` is the window 0..W, in O(W^2) products and O(W^2)
-additions for W <= n, the full ``combine`` its W = 2n case, and
-``combine_single_weight`` the window w..w, in O(t) products and O(t^2)
-additions with t = min(w, 2n - w, n); truncation therefore closes under
-tree recursion.
+the window 0..W costs O(W^2) products and O(W^2) additions for W <= n,
+the full ``combine`` is its W = 2n case, and ``combine_single_weight`` the
+window w..w, in O(t) products and O(t^2) additions with
+t = min(w, 2n - w, n); truncation therefore closes under tree recursion.
 """
 
 from __future__ import annotations
@@ -149,25 +149,6 @@ def combine_int(n: int, u, v, max_weight: int, min_weight: int = 0) -> tuple[int
     return den // g, [num // g for num in nums]
 
 
-def _window(n: int, u_coeffs, v_coeffs, lo: int, hi: int) -> tuple[Fraction, ...]:
-    """Coefficients of x^lo..x^min(hi, 2n) of the combine of two length-n
-    spectra given as coefficient sequences, read up to weight min(hi, n)."""
-    k = min(hi, n) + 1
-    u, v = common_denominator(u_coeffs[:k]), common_denominator(v_coeffs[:k])
-    return fractions_over(*combine_int(n, u, v, hi, lo))
-
-
-def combine_prefix(n: int, u_coeffs, v_coeffs, max_weight: int) -> tuple[Fraction, ...]:
-    """Coefficients of x^0..x^min(max_weight, 2n) of the combine of two
-    length-n spectra given as coefficient sequences.
-
-    Only the coefficients 0..min(max_weight, n) of each component are read,
-    so prefixes of that length suffice.  One kernel call evaluates every
-    requested weight.
-    """
-    return _window(n, u_coeffs, v_coeffs, 0, max_weight)
-
-
 def combine(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> WeightEnumerator:
     """Exact ensemble spectrum of {(u + v*perm, v)} from component spectra.
 
@@ -176,8 +157,8 @@ def combine(u_spectrum: WeightEnumerator, v_spectrum: WeightEnumerator) -> Weigh
     copy in the first half).  The output has length 2n.
     """
     n = _common_length(u_spectrum, v_spectrum)
-    coeffs = combine_prefix(n, u_spectrum.coeffs, v_spectrum.coeffs, 2 * n)
-    return WeightEnumerator(2 * n, coeffs)
+    u, v = common_denominator(u_spectrum.coeffs), common_denominator(v_spectrum.coeffs)
+    return WeightEnumerator(2 * n, fractions_over(*combine_int(n, u, v, 2 * n)))
 
 
 def combine_single_weight(
@@ -191,7 +172,10 @@ def combine_single_weight(
     reads) and at most t/2 + 1 products.
     """
     n = _common_length(u_spectrum, v_spectrum)
-    (coeff,) = _window(n, u_spectrum.coeffs, v_spectrum.coeffs, w, w)
+    k = min(w, n) + 1
+    u = common_denominator(u_spectrum.coeffs[:k])
+    v = common_denominator(v_spectrum.coeffs[:k])
+    (coeff,) = fractions_over(*combine_int(n, u, v, w, w))
     return coeff
 
 

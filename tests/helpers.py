@@ -122,6 +122,11 @@ def literal_combine(u_enum: WeightEnumerator, v_enum: WeightEnumerator) -> Weigh
     return WeightEnumerator(2 * n, tuple(out))
 
 
+def min_positive_weight(enum: WeightEnumerator) -> int | None:
+    """Smallest w > 0 with a nonzero coefficient, or None if there is none."""
+    return next((w for w, c in enumerate(enum.coeffs) if w and c), None)
+
+
 def random_spectrum(rng, n, max_num=8, max_den=6) -> WeightEnumerator:
     coeffs = [
         Fraction(rng.randint(0, max_num), rng.randint(1, max_den)) for _ in range(n + 1)

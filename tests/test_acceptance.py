@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_matrix, random_spectrum
+from helpers import min_positive_weight, random_matrix, random_spectrum
 from plotkin_wef import (
     BinaryMatrix,
     RankDeficiencyWarning,
@@ -111,8 +111,8 @@ def test_criterion_05_distance_consistency(random_component_pairs):
     pairs, _ = random_component_pairs
     for bf0, bf1, combined, _exhaustive in pairs:
         assert combined.coeffs[0] == 1
-        d0 = bf0.min_positive_weight()
-        d1 = bf1.min_positive_weight()
+        d0 = min_positive_weight(bf0)
+        d1 = min_positive_weight(bf1)
         cutoffs = [d for d in (d0, 2 * d1 if d1 is not None else None) if d is not None]
         cutoff = min(cutoffs) if cutoffs else combined.length + 1
         for w in range(1, cutoff):
@@ -126,7 +126,7 @@ def test_criterion_06_mass_conservation():
         n = rng.randint(1, 10)
         u = random_spectrum(rng, n)
         v = random_spectrum(rng, n)
-        assert combine(u, v).total_mass() == u.total_mass() * v.total_mass()
+        assert sum(combine(u, v).coeffs) == sum(u.coeffs) * sum(v.coeffs)
 
 
 @report(7, "rational regression: combine of [100] x [110] spectra, exact fractions")
@@ -164,7 +164,7 @@ def test_criterion_09_performance():
     started = time.perf_counter()
     spectrum = ensemble_wef(tree)
     tree_elapsed = time.perf_counter() - started
-    assert spectrum.total_mass() == 2**128
+    assert sum(spectrum.coeffs) == 2**128
     assert tree_elapsed < 60.0, f"{tree_elapsed:.1f} s"
 
     n = 1024

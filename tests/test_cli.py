@@ -496,6 +496,20 @@ class TestBound:
         assert code == 0, err
         assert json.loads(out)["bound"]["rate"] == rate
 
+    @pytest.mark.parametrize(
+        ("text", "err"),
+        [
+            # float() overflows: the rate is unreadable, not a budget.
+            ("1e400", "error: bad rate '1e400': use a float or p/q\n"),
+            # float() underflows to 0.0, which the channel refuses.
+            ("1e-400", "error: rate must be in (0, 1], got 0.0\n"),
+        ],
+    )
+    def test_rate_beyond_the_float_range_exit_2(self, capsys, tmp_path, text, err):
+        path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
+        argv = ["bound", path, "--rate", text, "--ebn0", "3", "--truncate", "2"]
+        assert run(capsys, *argv) == (2, "", err)
+
     def test_huge_rate_exponent_exit_3_at_once(self, tmp_path):
         # Fraction would expand 1e-20000000 into a 20-million-digit integer;
         # in a fresh interpreter, a hang fails the test.

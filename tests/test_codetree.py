@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import min_positive_weight
 from plotkin_wef import codetree
 from plotkin_wef import (
     Branch,
@@ -12,7 +13,6 @@ from plotkin_wef import (
     WeightEnumerator,
     active_leaves,
     ensemble_wef,
-    ensemble_wef_prefix,
     exact_wef_bruteforce,
     generator_matrix,
     parse_poly,
@@ -127,13 +127,13 @@ def test_mass_is_two_to_dimension_on_random_trees():
         m = rng.randint(0, 6)
         active = [i for i in range(1 << m) if rng.random() < 0.5]
         tree = tree_from_active_set(m, active)
-        assert ensemble_wef(tree).total_mass() == 2**tree.dimension
+        assert sum(ensemble_wef(tree).coeffs) == 2**tree.dimension
 
 
 def test_rm_min_distance_is_power_of_two():
     for m in range(0, 5):
         for r in range(0, m + 1):
-            got = ensemble_wef(rm_tree(r, m)).min_positive_weight()
+            got = min_positive_weight(ensemble_wef(rm_tree(r, m)))
             assert got == 2 ** (m - r)
 
 
@@ -271,11 +271,10 @@ def test_integer_recursion_keeps_least_common_denominators(monkeypatch):
         m = rng.randint(1, 7)
         trees.append(tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < 0.6]))
     for tree in trees:
+        full = ensemble_wef(tree).coeffs
         for max_weight in (2, tree.length // 3, tree.length):
             den, nums = codetree.ensemble_wef_int(tree, max_weight)
-            assert ensemble_wef_prefix(tree, max_weight) == tuple(
-                Fraction(num, den) for num in nums
-            )
+            assert tuple(Fraction(num, den) for num in nums) == full[: max_weight + 1]
     assert len(seen) > 500
     assert any(den > 1 for den, _ in seen)
     for den, nums in seen:

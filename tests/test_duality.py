@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from plotkin_wef import (
     Leaf,
     active_leaves,
-    combine_prefix,
+    combine_int,
+    common_denominator,
     dual_tree,
     ensemble_wef,
+    fractions_over,
     macwilliams,
     parse_poly,
     rm_tree,
@@ -57,8 +59,12 @@ def test_transform_commutes_with_combine(pair):
     # Raw coefficient tuples: the transform of a non-code spectrum may have
     # negative entries, which a WeightEnumerator rejects.
     n, u, v = pair
-    left = macwilliams(combine_prefix(n, u, v, 2 * n))
-    assert left == combine_prefix(n, macwilliams(v), macwilliams(u), 2 * n)
+
+    def combined(u, v):
+        u_int, v_int = common_denominator(u), common_denominator(v)
+        return fractions_over(*combine_int(n, u_int, v_int, 2 * n))
+
+    assert macwilliams(combined(u, v)) == combined(macwilliams(v), macwilliams(u))
 
 
 def test_transform_twice_divides_by_a0():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import any_int_digits
 from plotkin_wef import BudgetError, PolyParseError, WeightEnumerator, format_poly, parse_poly
+from plotkin_wef.cli import _record
 from plotkin_wef.enumerator import (
     _reduce_groups,
     common_denominator,
@@ -81,15 +82,21 @@ def test_format_parse_round_trip(enum):
 
 
 def test_total_mass_examples():
-    assert parse_poly("1 + 4x^3 + 3x^4", 6).total_mass() == 8
-    assert parse_poly("1", 3).total_mass() == 1
-    assert parse_poly("1 + 14x^4 + x^8", 8).total_mass() == 16
+    # In integer form the mass is sum(nums) / den.
+    for text, length, mass in [
+        ("1 + 4x^3 + 3x^4", 6, 8), ("1", 3, 1), ("1 + 14x^4 + x^8", 8, 16), ("1/3 + 2/3x", 1, 1),
+    ]:
+        den, nums = common_denominator(parse_poly(text, length).coeffs)
+        assert sum(nums) == mass * den
 
 
 def test_min_positive_weight_examples():
-    assert parse_poly("1 + 4x^3 + 3x^4", 6).min_positive_weight() == 3
-    assert parse_poly("1", 3).min_positive_weight() is None
-    assert parse_poly("1 + 14x^4 + x^8", 8).min_positive_weight() == 4
+    # A CLI record's min_positive_weight is read off its spectrum JSON.
+    for text, length, weight in [
+        ("1 + 4x^3 + 3x^4", 6, 3), ("1", 3, None), ("1 + 14x^4 + x^8", 8, 4),
+    ]:
+        spectrum = spectrum_to_json(length, *common_denominator(parse_poly(text, length).coeffs))
+        assert _record("rm", None, None, spectrum, None)["min_positive_weight"] == weight
 
 
 def test_constructor_validation():
@@ -101,15 +108,6 @@ def test_constructor_validation():
         WeightEnumerator(1, (1, 0.5))  # float
     with pytest.raises(ValueError):
         WeightEnumerator(-1, ())
-
-
-def test_coefficient_accessor():
-    enum = parse_poly("1 + 3x^2", 3)
-    assert enum.coefficient(2) == 3
-    with pytest.raises(ValueError):
-        enum.coefficient(4)
-    with pytest.raises(ValueError):
-        enum.coefficient(-1)
 
 
 def test_common_denominator_form():

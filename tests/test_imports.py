@@ -46,6 +46,42 @@ def test_an_unknown_name_raises_attribute_error(module):
     assert not hasattr(module, "Fraction")
 
 
+# The benchmark under perfbench/ changes only with the benchmark itself, and
+# reads these names of the package: its tracer wraps the first set on the cli
+# module, and its self-test, reference maker and checks import the second.
+BENCHMARK_CLI_NAMES = (
+    "rm_tree", "tree_from_json_dict", "ensemble_wef", "combine",
+    "combine_single_weight", "format_poly", "truncated_union_bound",
+)
+BENCHMARK_PACKAGE_NAMES = (
+    "BinaryMatrix", "WeightEnumerator", "ensemble_wef", "ensemble_wef_exhaustive",
+    "exact_wef_bruteforce", "generator_matrix", "rm_tree", "tree_from_active_set",
+)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_CLI_NAMES)
+def test_each_name_the_benchmark_traces_on_cli_is_the_package_object(name):
+    assert getattr(cli, name) is getattr(plotkin_wef, name)
+
+
+def test_the_other_names_the_benchmark_reads_resolve():
+    from plotkin_wef import combinatorics, kernel, plotkin
+
+    assert set(BENCHMARK_PACKAGE_NAMES) <= set(plotkin_wef.__all__)
+    assert callable(plotkin_wef.WeightEnumerator.from_json_dict)
+    assert plotkin.shared_table is combinatorics.shared_table
+    assert isinstance(combinatorics.shared_table(0).rows, list)
+    assert callable(kernel.combine_numerators)
+    assert callable(combinatorics.plotkin_coefficient)
+
+
+# The import system probes __path__ to tell a package from a module.
+@pytest.mark.parametrize("name", ["Fraction", "_plan", "__path__"])
+def test_cli_resolves_no_name_outside_the_package_all(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(cli, name)
+
+
 # fractions loads decimal and numbers; together they cost a short call
 # several milliseconds of start-up.
 FRACTION_MODULES = {"fractions", "decimal", "numbers"}

@@ -12,10 +12,12 @@ from helpers import fresh_table_rows
 from plotkin_wef import (
     WeightEnumerator,
     combine,
-    combine_prefix,
+    combine_int,
     combine_single_weight,
+    common_denominator,
     ensemble_wef,
-    ensemble_wef_prefix,
+    ensemble_wef_int,
+    fractions_over,
     rm_tree,
     tree_from_active_set,
 )
@@ -37,7 +39,10 @@ def spectrum_pairs(draw):
 def test_prefix_equals_full_combine_prefix(pair, data):
     n, u, v = pair
     w_max = data.draw(st.integers(0, 2 * n + 2))
-    got = combine_prefix(n, u.coeffs, v.coeffs, w_max)
+    k = min(w_max, n)
+    u_int = common_denominator(u.coeffs[: k + 1])
+    v_int = common_denominator(v.coeffs[: k + 1])
+    got = fractions_over(*combine_int(n, u_int, v_int, w_max))
     assert got == combine(u, v).coeffs[: w_max + 1]
     assert len(got) == min(w_max, 2 * n) + 1
 
@@ -55,24 +60,41 @@ def test_coefficients_above_the_cut_are_not_read(pair, data):
         tail = tuple(Fraction(rng.randint(0, 99), rng.randint(1, 7)) for _ in range(n - k))
         return WeightEnumerator(n, enum.coeffs[: k + 1] + tail)
 
+    def perturbed_int(spectrum):
+        den, nums = spectrum
+        return den, nums + [rng.randint(0, 99) for _ in range(n - k)]
+
+    u_int = common_denominator(u.coeffs[: k + 1])
+    v_int = common_denominator(v.coeffs[: k + 1])
+    expected = combine_int(n, u_int, v_int, w_max)
+    assert combine_int(n, perturbed_int(u_int), perturbed_int(v_int), w_max) == expected
     u2, v2 = perturbed(u), perturbed(v)
-    expected = combine_prefix(n, u.coeffs, v.coeffs, w_max)
-    assert combine_prefix(n, u2.coeffs, v2.coeffs, w_max) == expected
-    assert combine_prefix(n, u.coeffs[: k + 1], v.coeffs[: k + 1], w_max) == expected
     w = min(w_max, 2 * n)
     assert combine_single_weight(u2, v2, w) == combine_single_weight(u, v, w)
 
 
 def test_prefix_rejects_short_or_negative_input():
-    one = (Fraction(1), Fraction(1))
+    one = (1, [1, 1])
     with pytest.raises(ValueError):
-        combine_prefix(1, one, one, -1)
+        combine_int(1, one, one, -1)
     with pytest.raises(ValueError):
-        combine_prefix(2, one, one, 2)
+        combine_int(2, one, one, 2)
     with pytest.raises(ValueError):
-        combine_prefix(0, one[:1], one[:1], 0)
+        combine_int(0, (1, [1]), (1, [1]), 0)
     with pytest.raises(ValueError):
-        ensemble_wef_prefix(rm_tree(1, 2), -1)
+        ensemble_wef_int(rm_tree(1, 2), -1)
+
+
+# (n, W): a truncated plan (2W < n), W < n, W = n and W > n, where k = n.
+@pytest.mark.parametrize("n, max_weight", [(8, 2), (4, 3), (4, 4), (4, 7)])
+def test_combine_int_needs_coefficients_0_to_k_of_each_component(n, max_weight):
+    k = min(max_weight, n)
+    short, enough = (1, [1] * k), (1, [1] * (k + 1))
+    for u, v in ((short, enough), (enough, short), (short, short)):
+        with pytest.raises(ValueError, match=rf"^component spectra need coefficients 0\.\.{k}$"):
+            combine_int(n, u, v, max_weight)
+    den, nums = combine_int(n, enough, enough, max_weight)
+    assert len(nums) == min(max_weight, 2 * n) + 1
 
 
 @pytest.mark.parametrize("m", range(9))
@@ -81,7 +103,8 @@ def test_rm_prefix_matches_full_spectrum(m):
         tree = rm_tree(r, m)
         full = ensemble_wef(tree).coeffs
         for w_max in sorted({0, 3, 8, 1 << m}):
-            assert ensemble_wef_prefix(tree, w_max) == full[: w_max + 1], (r, m, w_max)
+            got = fractions_over(*ensemble_wef_int(tree, w_max))
+            assert got == full[: w_max + 1], (r, m, w_max)
 
 
 def test_random_tree_prefix_matches_full_spectrum():
@@ -92,7 +115,7 @@ def test_random_tree_prefix_matches_full_spectrum():
         tree = tree_from_active_set(m, active)
         full = ensemble_wef(tree).coeffs
         for w_max in (0, 1, 3, 8, 1 << m, (1 << m) + 5):
-            assert ensemble_wef_prefix(tree, w_max) == full[: w_max + 1]
+            assert fractions_over(*ensemble_wef_int(tree, w_max)) == full[: w_max + 1]
 
 
 def cli_json(capsys, *argv):
