@@ -34,10 +34,8 @@ _EXPORTS = {
         "tree_to_json_dict",
     ),
     "combinatorics": ("BinomialTable", "binomial", "plotkin_coefficient", "shared_table"),
-    "enumerator": (
-        "WeightEnumerator", "common_denominator", "format_poly", "fractions_over", "parse_poly",
-    ),
-    "errors": ("BudgetError", "PolyParseError", "RankDeficiencyWarning"),
+    "enumerator": ("WeightEnumerator", "common_denominator", "format_poly", "fractions_over"),
+    "errors": ("BudgetError", "RankDeficiencyWarning"),
     "oracle": (
         "BinaryMatrix",
         "MonteCarloEstimate",

@@ -176,9 +176,14 @@ def _record(command: str, input_echo, dimension, spectrum: dict, partial):
 def _parse_rate(text: str) -> float:
     # float() raises OverflowError on a rate beyond the float range, e.g. 1e400.
     try:
-        return float(_as_fraction(text))
+        exact = _as_fraction(text)
+        rate = float(exact)
     except (ValueError, OverflowError):
         raise ValueError(f"bad rate {text!r}: use a float or p/q") from None
+    # float() rounds a positive rate below the float range, e.g. 1e-400, to 0.0.
+    if exact > 0 and not rate:
+        raise ValueError(f"bad rate {text!r}: below the smallest positive float")
+    return rate
 
 
 def _max_weight(partial: int | None, length: int) -> int:

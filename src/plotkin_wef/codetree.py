@@ -233,8 +233,9 @@ def dual_tree(tree: CodeTree) -> CodeTree:
 
     The dual of {(u + v*perm, v)} is, with its halves swapped, the same
     construction with C_v's dual supplying u and C_u's dual supplying v, so
-    MacWilliams(ensemble_wef(tree)) == ensemble_wef(dual_tree(tree))
-    (oracle.macwilliams); dual_tree(rm_tree(r, m)) == rm_tree(m-r-1, m).
+    with n = tree.length, oracle.macwilliams(ensemble_wef_int(tree, n)) ==
+    ensemble_wef_int(dual_tree(tree), n); dual_tree(rm_tree(r, m)) ==
+    rm_tree(m-r-1, m).
     Shared subtrees stay shared.
     """
     dual: dict[CodeTree, CodeTree] = {}

@@ -2,7 +2,8 @@
 
 A ``WeightEnumerator`` records, for a length-n code or code ensemble, the
 number A_j of weight-j words for j = 0..n (an ensemble average in general,
-hence rational).  Values are immutable and safe to share; ``Value`` is the
+hence rational); ``WeightEnumerator(n, (A_0, ..., A_n))`` builds one from
+its coefficients.  Values are immutable and safe to share; ``Value`` is the
 base of the package's immutable value classes.
 
 Spectrum JSON and the integer form ``(den, nums)`` (coefficient w is
@@ -17,7 +18,8 @@ The "coeffs" block both make is a ``CanonicalCoeffs``, whose keys and texts
 need no JSON escaping, and ``dump_json`` writes the text of
 ``json.dump(obj, fp, indent=2)`` with those blocks spliced in unescaped.
 ``render_poly`` writes the polynomial text of the canonical coefficient
-texts; ``format_poly`` is that text of an enumerator.
+texts; ``format_poly`` is that text of an enumerator.  Polynomial text is an
+output format only: spectra come in as coefficients or as spectrum JSON.
 """
 
 from __future__ import annotations
@@ -25,14 +27,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 import sys
 
-from .errors import BudgetError, PolyParseError
-
-# One term of parse_poly's text, compiled on first use (by re's cache) rather
-# than at import: no CLI command parses a polynomial.
-_TERM = r"^\s*(?:(?P<coeff>\d+(?:\s*/\s*\d+)?)\s*)?(?P<x>x(?:\s*\^\s*(?P<exp>\d+))?)?\s*$"
+from .errors import BudgetError
 
 
 def is_int(value) -> bool:
@@ -406,44 +403,6 @@ def _dump(obj, newline: str, parts: list) -> None:
         # json.dumps escapes every newline inside a string, so each "\n"
         # of its text starts a line.
         parts.append(json.dumps(obj, indent=2).replace("\n", newline))
-
-
-def parse_poly(text: str, length: int) -> WeightEnumerator:
-    """Parse "1 + 14x^4 + x^8"-style text into a length-``length`` enumerator.
-
-    Terms are "c", "c x^j", "x^j" or "x" joined by "+"; coefficients are
-    integers or "p/q".  Coefficients of repeated exponents accumulate.  Raises
-    PolyParseError (with character position) on malformed input, ValueError if
-    an exponent exceeds ``length``.
-    """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if not text.strip():
-        raise PolyParseError("empty polynomial", 0)
-    Fraction = _fraction_class()
-    coeffs = [Fraction(0)] * (length + 1)
-    offset = 0
-    for chunk in text.split("+"):
-        start = offset + (len(chunk) - len(chunk.lstrip()))
-        offset += len(chunk) + 1
-        match = re.match(_TERM, chunk)
-        if match is None or (match.group("coeff") is None and match.group("x") is None):
-            raise PolyParseError(f"malformed term {chunk.strip()!r}", start)
-        if match.group("coeff") is not None:
-            try:
-                coeff = Fraction(match.group("coeff").replace(" ", ""))
-            except ZeroDivisionError:
-                raise PolyParseError("zero denominator", start) from None
-        else:
-            coeff = Fraction(1)
-        if match.group("x") is not None:
-            exp = int(match.group("exp")) if match.group("exp") is not None else 1
-        else:
-            exp = 0
-        if exp > length:
-            raise ValueError(f"exponent {exp} exceeds length {length}")
-        coeffs[exp] += coeff
-    return WeightEnumerator(length, tuple(coeffs))
 
 
 def render_poly(coeffs) -> str:

@@ -5,13 +5,5 @@ class BudgetError(RuntimeError):
     """A request exceeds a configured enumeration or size budget."""
 
 
-class PolyParseError(ValueError):
-    """Malformed weight-enumerator text; ``position`` is the 0-based offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class RankDeficiencyWarning(UserWarning):
     """Generator rows are linearly dependent; spectra count the row space once."""

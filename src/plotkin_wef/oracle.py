@@ -6,6 +6,8 @@ are walked in Gray-code order so each step is one XOR and one popcount.
 
 ``macwilliams`` is an oracle of another kind: it checks a whole spectrum
 against the spectrum of the dual ensemble (codetree.dual_tree), at any length.
+It works on the integer form ``(den, nums)``, as ``ensemble_wef_int`` returns
+it, and builds no Fraction.
 
 Reproducibility: the sampled-permutation routines draw from
 ``random.Random(seed)`` (the stdlib Mersenne Twister) through an explicit
@@ -23,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import add, sub
 
-from .enumerator import Value, WeightEnumerator, common_denominator, fractions_over, is_int
+from .enumerator import Value, WeightEnumerator, fractions_over, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
 BRUTE_FORCE_MAX_DIMENSION = 24
@@ -287,23 +289,30 @@ def _taylor_shift(coeffs: list[int], step) -> list[int]:
     return out
 
 
-def macwilliams(coeffs) -> tuple[Fraction, ...]:
-    """MacWilliams transform of the length-N spectrum A_0..A_N:
+def macwilliams(spectrum) -> tuple[int, list[int]]:
+    """MacWilliams transform of the length-N spectrum ``(den, nums)``, whose
+    coefficient A_w is nums[w] / den:
     B(y) = sum_w A_w (1 - y)^w (1 + y)^(N - w) / sum_w A_w.
 
     For a linear code this is the spectrum of its dual.  The transform is
     linear and normalised by the mass, so it applies to ensemble averages
     and to any rational sequence with a nonzero sum; the result may then
-    have negative entries, hence plain Fractions rather than a
-    WeightEnumerator.  With P(y) = sum_w A_w y^w, the numerator is
-    (1 + y)^N P(-1 + 2/(1 + y)): a Taylor shift by -1, the coefficient of
-    y^w scaled by 2^w and the order reversed, then a Taylor shift by +1,
-    all on integer numerators; O(N^2) big-integer additions.
+    have negative entries.  ``den`` cancels in the normalisation: B_j is
+    out_j / sum(nums) for the integer numerators out_j, returned as
+    ``(den', nums')`` with den' > 0 and gcd(den', *nums') = 1, so that it
+    compares equal to the pair ``combine_int`` or ``ensemble_wef_int``
+    gives for the same spectrum.  With P(y) = sum_w nums[w] y^w, the
+    numerator is (1 + y)^N P(-1 + 2/(1 + y)): a Taylor shift by -1, the
+    coefficient of y^w scaled by 2^w and the order reversed, then a Taylor
+    shift by +1; O(N^2) big-integer additions.
     """
-    den, nums = common_denominator(coeffs)
+    _, nums = spectrum
     mass = sum(nums)
     if not mass:
         raise ValueError("the MacWilliams transform needs a nonzero sum of coefficients")
     shifted = _taylor_shift(nums, sub)
     scaled = [c << w for w, c in enumerate(shifted)]
-    return fractions_over(mass, _taylor_shift(scaled[::-1], add))
+    out = _taylor_shift(scaled[::-1], add)
+    # g takes the sign of the mass, so that den' > 0.
+    g = math.gcd(mass, *out) * (1 if mass > 0 else -1)
+    return mass // g, [c // g for c in out]

@@ -11,7 +11,6 @@ from plotkin_wef import (
     WeightEnumerator,
     combine,
     combine_single_weight,
-    parse_poly,
     q_function,
     truncated_union_bound,
 )
@@ -24,11 +23,11 @@ def bound(enum, truncate, channel):
     return truncated_union_bound(common_denominator(enum.coeffs), truncate, channel)
 
 
-RM13 = parse_poly("1 + 14x^4 + x^8", 8)
+RM13 = WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
 
 
 def test_single_term_closed_form():
-    enum = parse_poly("1 + x^5", 8)
+    enum = WeightEnumerator(8, (1, 0, 0, 0, 0, 1, 0, 0, 0))
     ch = ChannelPoint(rate=0.25, ebn0_db=2.0)
     gamma = 10.0 ** (2.0 / 10.0)
     expected = q_function(math.sqrt(2.0 * 5 * 0.25 * gamma))
@@ -88,8 +87,8 @@ def test_partial_spectrum_gives_same_bound():
 
 
 def test_single_weight_supplied_spectrum_matches_sliced_full():
-    u = parse_poly("1 + x^3", 3)
-    v = parse_poly("1 + 3x^2", 3)
+    u = WeightEnumerator(3, (1, 0, 0, 1))
+    v = WeightEnumerator(3, (1, 0, 3, 0))
     full = combine(u, v)
     W = 4
     partial = WeightEnumerator(

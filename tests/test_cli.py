@@ -11,7 +11,6 @@ from plotkin_wef import (
     WeightEnumerator,
     combine,
     format_poly,
-    parse_poly,
     truncated_union_bound,
 )
 from plotkin_wef import cli
@@ -488,7 +487,9 @@ class TestBound:
             == 2
         )
 
-    @pytest.mark.parametrize(("text", "rate"), [("1e-3", 0.001), ("2.5e-2", 0.025)])
+    @pytest.mark.parametrize(
+        ("text", "rate"), [("1e-3", 0.001), ("2.5e-2", 0.025), ("1e-320", 1e-320)]
+    )
     def test_rate_with_an_exponent(self, capsys, tmp_path, text, rate):
         path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
         argv = ["bound", path, "--rate", text, "--ebn0", "3", "--truncate", "2"]
@@ -501,14 +502,19 @@ class TestBound:
         [
             # float() overflows: the rate is unreadable, not a budget.
             ("1e400", "error: bad rate '1e400': use a float or p/q\n"),
-            # float() underflows to 0.0, which the channel refuses.
-            ("1e-400", "error: rate must be in (0, 1], got 0.0\n"),
+            # float() underflows to 0.0: the error names the rate as typed.
+            ("1e-400", "error: bad rate '1e-400': below the smallest positive float\n"),
         ],
     )
     def test_rate_beyond_the_float_range_exit_2(self, capsys, tmp_path, text, err):
         path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
         argv = ["bound", path, "--rate", text, "--ebn0", "3", "--truncate", "2"]
         assert run(capsys, *argv) == (2, "", err)
+
+    def test_zero_rate_is_refused_by_the_channel(self, capsys, tmp_path):
+        path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
+        argv = ["bound", path, "--rate", "0", "--ebn0", "3", "--truncate", "2"]
+        assert run(capsys, *argv) == (2, "", "error: rate must be in (0, 1], got 0.0\n")
 
     def test_huge_rate_exponent_exit_3_at_once(self, tmp_path):
         # Fraction would expand 1e-20000000 into a 20-million-digit integer;
@@ -756,9 +762,8 @@ class TestRoundTrips:
 
         code, comb_out, _ = run(capsys, "combine", str(record_path), str(record_path))
         assert code == 0
-        expected = combine(
-            parse_poly("1 + 14x^4 + x^8", 8), parse_poly("1 + 14x^4 + x^8", 8)
-        )
+        rm13 = WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
+        expected = combine(rm13, rm13)
         assert comb_out.strip() == str(expected)
 
     @pytest.mark.parametrize(

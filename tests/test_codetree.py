@@ -15,7 +15,6 @@ from plotkin_wef import (
     ensemble_wef,
     exact_wef_bruteforce,
     generator_matrix,
-    parse_poly,
     rm_tree,
     tree_from_active_set,
     tree_from_json_dict,
@@ -78,13 +77,13 @@ def test_branch_requires_equal_child_lengths():
 
 
 def test_ensemble_wef_examples():
-    assert ensemble_wef(rm_tree(1, 3)) == parse_poly("1 + 14x^4 + x^8", 8)
-    assert ensemble_wef(tree_from_active_set(4, set())) == parse_poly("1", 16)
+    assert ensemble_wef(rm_tree(1, 3)) == WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
+    assert ensemble_wef(tree_from_active_set(4, set())) == WeightEnumerator(16, (1,) + (0,) * 16)
     # Frozen from brute force over the 2^11 codewords of the depth-4 tree;
     # exact because the v-side codes along the recursion are fixed by every
     # coordinate permutation.
-    assert ensemble_wef(rm_tree(2, 4)) == parse_poly(
-        "1 + 140x^4 + 448x^6 + 870x^8 + 448x^10 + 140x^12 + x^16", 16
+    assert ensemble_wef(rm_tree(2, 4)) == WeightEnumerator(
+        16, (1, 0, 0, 0, 140, 0, 448, 0, 870, 0, 448, 0, 140, 0, 0, 0, 1)
     )
 
 
@@ -98,7 +97,7 @@ def test_generator_matrix_examples():
     assert generator_matrix(rm_tree(0, 1)).to_strings() == ["11"]
     g = generator_matrix(rm_tree(1, 3))
     assert g.to_strings() == ["11110000", "11001100", "10101010", "11111111"]
-    assert exact_wef_bruteforce(g) == parse_poly("1 + 14x^4 + x^8", 8)
+    assert exact_wef_bruteforce(g) == WeightEnumerator(8, (1, 0, 0, 0, 14, 0, 0, 0, 1))
 
 
 def test_generator_matrix_rows_are_independent():

@@ -5,9 +5,11 @@ construction with the dual of C_v supplying u, the dual of C_u supplying v
 and the interleaver perm^-1, which is uniform too.  The transform is linear,
 so it commutes with the ensemble average:
 MacWilliams(combine(U, V)) == combine(MacWilliams(V), MacWilliams(U)), and
-over a tree, MacWilliams(ensemble_wef(T)) == ensemble_wef(dual_tree(T)).
+over a tree, MacWilliams(ensemble_wef_int(T)) == ensemble_wef_int(dual_tree(T)).
+All of these compare integer pairs ``(den, nums)``, each in lowest terms.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,50 +23,85 @@ from plotkin_wef import (
     combine_int,
     common_denominator,
     dual_tree,
-    ensemble_wef,
+    ensemble_wef_int,
     fractions_over,
     macwilliams,
-    parse_poly,
     rm_tree,
     tree_from_active_set,
 )
 
 fractions = st.fractions(min_value=0, max_value=50, max_denominator=12)
+signed_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 @st.composite
 def rational_pairs(draw):
     n = draw(st.integers(1, 9))
     spectra = st.lists(fractions, min_size=n + 1, max_size=n + 1).filter(any)
-    return n, tuple(draw(spectra)), tuple(draw(spectra))
+    return n, common_denominator(draw(spectra)), common_denominator(draw(spectra))
+
+
+def transform_by_definition(coeffs) -> tuple[Fraction, ...]:
+    """B_j, the coefficient of y^j in sum_w A_w (1 - y)^w (1 + y)^(N - w)
+    over sum_w A_w, expanded term by term with binomial coefficients."""
+    N = len(coeffs) - 1
+    mass = sum(coeffs)
+    return tuple(
+        sum(
+            a * (-1) ** i * math.comb(w, i) * math.comb(N - w, j - i)
+            for w, a in enumerate(coeffs)
+            for i in range(j + 1)
+        )
+        / mass
+        for j in range(N + 1)
+    )
 
 
 def test_known_dual_pairs():
-    hamming = parse_poly("1 + 7x^3 + 7x^4 + x^7", 7).coeffs
-    simplex = parse_poly("1 + 7x^4", 7).coeffs
+    hamming = (1, [1, 0, 0, 7, 7, 0, 0, 1])
+    simplex = (1, [1, 0, 0, 0, 7, 0, 0, 0])
     assert macwilliams(hamming) == simplex
     assert macwilliams(simplex) == hamming
-    assert macwilliams((1, 3, 3, 1)) == (1, 0, 0, 0)
-    assert macwilliams((Fraction(1, 3),)) == (1,)
+    assert macwilliams((1, [1, 3, 3, 1])) == (1, [1, 0, 0, 0])
+    assert macwilliams((3, [1])) == (1, [1])
+    # The input's denominator cancels, and the output is in lowest terms
+    # with a positive denominator whatever the sign of the mass.
+    assert macwilliams((6, [2, 6, 6, 2])) == (1, [1, 0, 0, 0])
+    assert macwilliams((1, [-1, 0])) == (1, [1, 1])
+    assert macwilliams((1, [2, 1])) == (3, [3, 1])
+    assert macwilliams((5, [-2, -1])) == (3, [3, 1])
+    assert macwilliams((1, [1, -3])) == (1, [1, -2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(signed_fractions, min_size=1, max_size=10).filter(lambda c: sum(c) != 0),
+    st.integers(1, 6),
+)
+def test_transform_matches_its_definition(coeffs, k):
+    den, nums = common_denominator(coeffs)
+    out_den, out_nums = macwilliams((k * den, [k * num for num in nums]))
+    assert out_den > 0
+    assert math.gcd(out_den, *out_nums) == 1
+    assert fractions_over(out_den, out_nums) == transform_by_definition(coeffs)
 
 
 def test_zero_mass_is_rejected():
     with pytest.raises(ValueError):
-        macwilliams((0, 0, 0))
+        macwilliams((1, [0, 0, 0]))
+    with pytest.raises(ValueError):
+        macwilliams((2, [1, 0, -1]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(rational_pairs())
 def test_transform_commutes_with_combine(pair):
-    # Raw coefficient tuples: the transform of a non-code spectrum may have
-    # negative entries, which a WeightEnumerator rejects.
+    # The transform of a non-code spectrum may have negative entries, which
+    # combine_int takes as they are.
     n, u, v = pair
-
-    def combined(u, v):
-        u_int, v_int = common_denominator(u), common_denominator(v)
-        return fractions_over(*combine_int(n, u_int, v_int, 2 * n))
-
-    assert macwilliams(combined(u, v)) == combined(macwilliams(v), macwilliams(u))
+    assert macwilliams(combine_int(n, u, v, 2 * n)) == combine_int(
+        n, macwilliams(v), macwilliams(u), 2 * n
+    )
 
 
 def test_transform_twice_divides_by_a0():
@@ -74,7 +111,8 @@ def test_transform_twice_divides_by_a0():
     for _ in range(20):
         coeffs = [Fraction(rng.randint(0, 30), rng.randint(1, 9)) for _ in range(rng.randint(1, 12))]
         coeffs[0] += Fraction(1, rng.randint(1, 5))
-        assert macwilliams(macwilliams(coeffs)) == tuple(c / coeffs[0] for c in coeffs)
+        twice = macwilliams(macwilliams(common_denominator(coeffs)))
+        assert twice == common_denominator([c / coeffs[0] for c in coeffs])
 
 
 def test_dual_tree_leaf_rule():
@@ -95,12 +133,13 @@ def test_random_trees_match_their_dual_trees():
         m = rng.randint(0, 5)
         density = rng.random()
         tree = tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < density])
-        assert macwilliams(ensemble_wef(tree).coeffs) == ensemble_wef(dual_tree(tree)).coeffs
+        spectrum = ensemble_wef_int(tree, tree.length)
+        assert macwilliams(spectrum) == ensemble_wef_int(dual_tree(tree), tree.length)
 
 
-@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("m", range(11))
 def test_reed_muller_duals(m):
-    spectra = {r: ensemble_wef(rm_tree(r, m)).coeffs for r in range(-1, m + 1)}
+    spectra = {r: ensemble_wef_int(rm_tree(r, m), 1 << m) for r in range(-1, m + 1)}
     for r in range(-1, m + 1):
         assert dual_tree(rm_tree(r, m)) == rm_tree(m - r - 1, m)
         assert macwilliams(spectra[r]) == spectra[m - r - 1], (r, m)

@@ -18,7 +18,6 @@ from plotkin_wef import (
     ensemble_wef_exhaustive,
     ensemble_wef_montecarlo,
     exact_wef_bruteforce,
-    parse_poly,
     uniform_permutation,
 )
 
@@ -144,8 +143,8 @@ class TestUniformPermutation:
 
 class TestBruteForce:
     def test_examples(self):
-        assert exact_wef_bruteforce(G_REP3) == parse_poly("1 + x^3", 3)
-        assert exact_wef_bruteforce(G_SPC3) == parse_poly("1 + 3x^2", 3)
+        assert exact_wef_bruteforce(G_REP3) == WeightEnumerator(3, (1, 0, 0, 1))
+        assert exact_wef_bruteforce(G_SPC3) == WeightEnumerator(3, (1, 0, 3, 0))
 
     def test_mass_is_two_to_rank(self):
         rng = random.Random(88)
@@ -173,9 +172,8 @@ class TestBruteForce:
 
 class TestExhaustiveEnsemble:
     def test_permutation_invariant_components_give_specific_code(self):
-        assert ensemble_wef_exhaustive(G_REP3, G_SPC3) == parse_poly(
-            "1 + 4x^3 + 3x^4", 6
-        )
+        expected = WeightEnumerator(6, (1, 0, 0, 4, 3, 0, 0))
+        assert ensemble_wef_exhaustive(G_REP3, G_SPC3) == expected
 
     def test_rational_instance(self):
         # All 6 permutations of {(u + v*perm, v)} with u-code 100, v-code 110:
@@ -185,7 +183,7 @@ class TestExhaustiveEnsemble:
 
     def test_zero_v_code_pads_u_spectrum(self):
         out = ensemble_wef_exhaustive(G_REP3, BinaryMatrix(3, ()))
-        assert out == parse_poly("1 + x^3", 6)
+        assert out == WeightEnumerator(6, (1, 0, 0, 1, 0, 0, 0))
 
     def test_matches_combine_of_bruteforce_spectra(self):
         rng = random.Random(424242)
@@ -227,14 +225,14 @@ class TestMonteCarlo:
     def test_invariant_components_give_exact_spectrum_any_seed(self):
         for seed in (0, 1, 999):
             est, errs = ensemble_wef_montecarlo(G_REP3, G_SPC3, samples=10, seed=seed)
-            assert est == parse_poly("1 + 4x^3 + 3x^4", 6)
+            assert est == WeightEnumerator(6, (1, 0, 0, 4, 3, 0, 0))
             assert all(e == 0.0 for e in errs)
 
     def test_single_sample_with_zero_v_code_is_exact(self):
         est, errs = ensemble_wef_montecarlo(
             G_REP3, BinaryMatrix(3, ()), samples=1, seed=5
         )
-        assert est == parse_poly("1 + x^3", 6)
+        assert est == WeightEnumerator(6, (1, 0, 0, 1, 0, 0, 0))
         assert all(e == 0.0 for e in errs)
 
     def test_three_sigma_agreement_on_rational_instance(self):

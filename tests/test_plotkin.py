@@ -25,38 +25,37 @@ from plotkin_wef import (
     exact_wef_bruteforce,
     min_distance_combine,
     kernel,
-    parse_poly,
     plotkin,
     shared_table,
 )
 
-EX1_U = parse_poly("1 + x^3", 3)  # [3,1,3] repetition code
-EX1_V = parse_poly("1 + 3x^2", 3)  # [3,2,2] single parity check
+EX1_U = WeightEnumerator(3, (1, 0, 0, 1))  # [3,1,3] repetition code
+EX1_V = WeightEnumerator(3, (1, 0, 3, 0))  # [3,2,2] single parity check
 
 
 def test_combine_golden():
-    assert combine(EX1_U, EX1_V) == parse_poly("1 + 4x^3 + 3x^4", 6)
+    assert combine(EX1_U, EX1_V) == WeightEnumerator(6, (1, 0, 0, 4, 3, 0, 0))
 
 
 def test_combine_with_zero_v_code_copies_u():
     # v fixed to 0: the code is {(u, 0)}, spectrum of u padded to length 2n.
-    one = parse_poly("1", 3)
+    one = WeightEnumerator(3, (1, 0, 0, 0))
     out = combine(EX1_U, one)
-    assert out == parse_poly("1 + x^3", 6)
+    assert out == WeightEnumerator(6, (1, 0, 0, 1, 0, 0, 0))
 
 
 def test_combine_with_zero_u_code_doubles_v_weights():
     # u fixed to 0: words (v*perm, v) weigh exactly twice the v-weight.
-    one = parse_poly("1", 3)
-    assert combine(one, EX1_V) == parse_poly("1 + 3x^4", 6)
+    one = WeightEnumerator(3, (1, 0, 0, 0))
+    assert combine(one, EX1_V) == WeightEnumerator(6, (1, 0, 0, 0, 3, 0, 0))
 
 
 def test_combine_rational_instance():
     # Frozen from the exhaustive-permutation oracle over all 6 permutations of
     # {(u + v*perm, v)} with u-code generated by 100, v-code by 110; the same
     # value also falls out of literal_combine and mass conservation (mass 4).
-    u = parse_poly("1 + x", 3)
-    v = parse_poly("1 + x^2", 3)
+    u = WeightEnumerator(3, (1, 1, 0, 0))
+    v = WeightEnumerator(3, (1, 0, 1, 0))
     expected = WeightEnumerator(
         6, (1, 1, 0, Fraction(2, 3), 1, Fraction(1, 3), 0)
     )
@@ -68,9 +67,11 @@ def test_combine_rational_instance():
 
 def test_combine_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        combine(parse_poly("1", 2), parse_poly("1", 3))
+        combine(WeightEnumerator(2, (1, 0, 0)), WeightEnumerator(3, (1, 0, 0, 0)))
     with pytest.raises(ValueError):
-        combine_single_weight(parse_poly("1", 2), parse_poly("1", 3), 0)
+        combine_single_weight(
+            WeightEnumerator(2, (1, 0, 0)), WeightEnumerator(3, (1, 0, 0, 0)), 0
+        )
 
 
 def test_combine_single_weight_examples():
