@@ -33,13 +33,12 @@ _EXPORTS = {
         "tree_from_json_dict",
         "tree_to_json_dict",
     ),
-    "combinatorics": ("BinomialTable", "binomial", "plotkin_coefficient", "shared_table"),
+    "combinatorics": ("BinomialTable", "plotkin_coefficient", "shared_table"),
     "enumerator": ("WeightEnumerator", "common_denominator", "format_poly", "fractions_over"),
     "errors": ("BudgetError", "RankDeficiencyWarning"),
     "oracle": (
         "BinaryMatrix",
         "MonteCarloEstimate",
-        "Permutation",
         "ensemble_wef_exhaustive",
         "ensemble_wef_montecarlo",
         "exact_wef_bruteforce",

@@ -180,8 +180,11 @@ def _parse_rate(text: str) -> float:
         rate = float(exact)
     except (ValueError, OverflowError):
         raise ValueError(f"bad rate {text!r}: use a float or p/q") from None
+    # The exact rate, not its float: 1.00000000000000001 rounds to 1.0.
+    if not 0 < exact <= 1:
+        raise ValueError(f"bad rate {text!r}: must be in (0, 1]")
     # float() rounds a positive rate below the float range, e.g. 1e-400, to 0.0.
-    if exact > 0 and not rate:
+    if not rate:
         raise ValueError(f"bad rate {text!r}: below the smallest positive float")
     return rate
 

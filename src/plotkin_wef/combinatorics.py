@@ -1,4 +1,5 @@
-"""Exact binomial coefficients and the interleaver-average combining weight.
+"""The shared rows of Pascal's triangle and the interleaver-average combining
+weight.
 
 Everything here runs on Python's arbitrary-precision integers and
 `fractions.Fraction`; no floating point, no modular shortcuts.
@@ -13,7 +14,7 @@ from .enumerator import _fraction_class
 
 
 class BinomialTable:
-    """Rows 0..max_n of Pascal's triangle: ``rows[a]`` is [C(a, 0), ..., C(a, a)].
+    """Rows 0..n of Pascal's triangle: ``rows[a]`` is [C(a, 0), ..., C(a, a)].
 
     Each row is one ``map(add)`` over the row before it.  Rows are built once
     and never mutated afterwards, so a table can be shared freely between
@@ -25,28 +26,11 @@ class BinomialTable:
 
     __slots__ = ("rows",)
 
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
-        self.rows = _extend_rows([[1]], max_n)
-
-    @classmethod
-    def _grown(cls, base: "BinomialTable", max_n: int) -> "BinomialTable":
-        # Shares the existing row objects; rows are read-only by convention.
-        table = cls.__new__(cls)
-        table.rows = _extend_rows(list(base.rows), max_n)
-        return table
+    def __init__(self, rows: list[list[int]]) -> None:
+        self.rows = rows
 
 
-def _extend_rows(rows: list[list[int]], max_n: int) -> list[list[int]]:
-    row = rows[-1]
-    for _ in range(len(rows), max_n + 1):
-        row = [1, *map(add, row, row[1:]), 1]
-        rows.append(row)
-    return rows
-
-
-_shared = BinomialTable(0)
+_shared = BinomialTable([[1]])
 
 
 def shared_table(min_n: int) -> BinomialTable:
@@ -56,29 +40,24 @@ def shared_table(min_n: int) -> BinomialTable:
     ``plotkin._plan`` does for a full plan of length n alone: the table holds
     rows 0..n of the largest full plan of the session, never more.  A
     truncated plan holds its own ~k^2/4 entries and leaves the table as it is,
-    and ``binomial`` and ``plotkin_coefficient`` never touch it.
+    and ``plotkin_coefficient`` never touches it.
 
     Grows on demand and is never shrunk; every row is built at most once per
-    session because growth extends the existing rows.  The returned table is
-    immutable; concurrent readers may hold different generations, all of which
-    agree on shared rows.
+    session: growth copies the list of rows, sharing every row object, and
+    appends the new rows to the copy.  No row is ever mutated, so concurrent
+    readers may hold different generations, all of which agree on shared
+    rows.
     """
     global _shared
     table = _shared
     if len(table.rows) <= min_n:
-        table = BinomialTable._grown(table, min_n)
-        _shared = table
+        rows = list(table.rows)
+        row = rows[-1]
+        for _ in range(len(rows), min_n + 1):
+            row = [1, *map(add, row, row[1:]), 1]
+            rows.append(row)
+        table = _shared = BinomialTable(rows)
     return table
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; returns 0 when k < 0 or k > n.
-
-    One value, from ``math.comb``: the shared table is not grown for it.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return math.comb(n, k) if k >= 0 else 0
 
 
 def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:

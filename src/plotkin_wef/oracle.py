@@ -104,27 +104,8 @@ class BinaryMatrix(Value):
         return cls.from_strings(obj["rows"], n)
 
 
-class Permutation(Value):
-    """A bijection on {0..n-1}; coordinate j of the input goes to mapping[j]."""
-
-    __slots__ = _fields = ("mapping",)
-
-    def __init__(self, mapping) -> None:
-        mapping = tuple(mapping)
-        if sorted(mapping) != list(range(len(mapping))):
-            raise ValueError("mapping is not a bijection on 0..n-1")
-        object.__setattr__(self, "mapping", mapping)
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def apply_bits(self, x: int) -> int:
-        """Permute a bit-packed vector: output bit mapping[j] = input bit j."""
-        return _permute_bits(x, self.mapping)
-
-
 def _permute_bits(x: int, mapping) -> int:
+    """Permute a bit-packed vector: output bit mapping[j] = input bit j."""
     y = 0
     j = 0
     while x:
@@ -135,39 +116,26 @@ def _permute_bits(x: int, mapping) -> int:
     return y
 
 
-def uniform_permutation(n: int, rng: random.Random) -> Permutation:
-    """One uniform draw from the n! permutations (Fisher-Yates over ``rng``)."""
+def uniform_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
+    """One uniform draw from the n! permutations (Fisher-Yates over ``rng``),
+    as its mapping: coordinate j goes to mapping[j]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
         j = rng.randint(0, i)
         idx[i], idx[j] = idx[j], idx[i]
-    return Permutation(tuple(idx))
+    return tuple(idx)
 
 
-def _span(basis) -> Iterator[int]:
-    """All 2^len(basis) words of the span, in Gray-code order."""
-    word = 0
+def _span(basis, word: int = 0) -> Iterator[int]:
+    """``word ^ s`` for each of the 2^len(basis) words s of the span, in
+    Gray-code order: step t adds basis[i], i the lowest set bit of t, which
+    is the bit where the Gray codes of t - 1 and t differ."""
     yield word
-    prev = 0
     for t in range(1, 1 << len(basis)):
-        gray = t ^ (t >> 1)
-        word ^= basis[(gray ^ prev).bit_length() - 1]
-        prev = gray
+        word ^= basis[(t & -t).bit_length() - 1]
         yield word
-
-
-def _accumulate_span_weights(basis, start: int, bias: int, counts: list[int]) -> None:
-    """Add 1 to counts[weight(c) + bias] for every c in start + span(basis)."""
-    word = start
-    counts[word.bit_count() + bias] += 1
-    prev = 0
-    for t in range(1, 1 << len(basis)):
-        gray = t ^ (t >> 1)
-        word ^= basis[(gray ^ prev).bit_length() - 1]
-        prev = gray
-        counts[word.bit_count() + bias] += 1
 
 
 def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
@@ -190,17 +158,18 @@ def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
             stacklevel=2,
         )
     counts = [0] * (G.n + 1)
-    _accumulate_span_weights(basis, 0, 0, counts)
+    for word in _span(basis):
+        counts[word.bit_count()] += 1
     return WeightEnumerator(G.n, counts)
 
 
-def _instance_counts(basis_u, basis_v, perm_mapping, n: int) -> list[int]:
-    """Integer spectrum of {(u + v*perm, v)} for one fixed permutation."""
-    counts = [0] * (2 * n + 1)
+def _instance_counts(basis_u, basis_v, mapping, counts: list[int]) -> None:
+    """Add the integer spectrum of {(u + v*perm, v)} for the one permutation
+    ``mapping`` into ``counts``, a list of 2n + 1 integers."""
     for v in _span(basis_v):
-        pv = _permute_bits(v, perm_mapping)
-        _accumulate_span_weights(basis_u, pv, v.bit_count(), counts)
-    return counts
+        bias = v.bit_count()
+        for word in _span(basis_u, _permute_bits(v, mapping)):
+            counts[word.bit_count() + bias] += 1
 
 
 def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumerator:
@@ -223,12 +192,10 @@ def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumera
             f" (max {EXHAUSTIVE_MAX_DIMENSION})"
         )
     basis_u = G0.row_space_basis()
-    span_v = list(_span(G1.row_space_basis()))
+    basis_v = G1.row_space_basis()
     totals = [0] * (2 * n + 1)
-    for perm in itertools.permutations(range(n)):
-        for v in span_v:
-            pv = _permute_bits(v, perm)
-            _accumulate_span_weights(basis_u, pv, v.bit_count(), totals)
+    for mapping in itertools.permutations(range(n)):
+        _instance_counts(basis_u, basis_v, mapping, totals)
     return WeightEnumerator(2 * n, fractions_over(math.factorial(n), totals))
 
 
@@ -261,8 +228,8 @@ def ensemble_wef_montecarlo(
     sums = [0] * (2 * n + 1)
     sums_sq = [0] * (2 * n + 1)
     for _ in range(samples):
-        perm = uniform_permutation(n, rng)
-        counts = _instance_counts(basis_u, basis_v, perm.mapping, n)
+        counts = [0] * (2 * n + 1)
+        _instance_counts(basis_u, basis_v, uniform_permutation(n, rng), counts)
         for w, c in enumerate(counts):
             if c:
                 sums[w] += c

@@ -514,7 +514,15 @@ class TestBound:
     def test_zero_rate_is_refused_by_the_channel(self, capsys, tmp_path):
         path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
         argv = ["bound", path, "--rate", "0", "--ebn0", "3", "--truncate", "2"]
-        assert run(capsys, *argv) == (2, "", "error: rate must be in (0, 1], got 0.0\n")
+        assert run(capsys, *argv) == (2, "", "error: bad rate '0': must be in (0, 1]\n")
+
+    # The exact rate is checked before it is rounded: 1.00000000000000001
+    # rounds to 1.0 and -1e-400 to -0.0, and the error names the rate as typed.
+    @pytest.mark.parametrize("text", ["1.00000000000000001", "-1e-400", "-1/2", "3/2"])
+    def test_rate_outside_the_unit_interval_exit_2(self, capsys, tmp_path, text):
+        path = write_json(tmp_path / "s.json", {"n": 2, "coeffs": {"0": "1", "2": "1"}})
+        argv = ["bound", path, f"--rate={text}", "--ebn0", "3", "--truncate", "2"]
+        assert run(capsys, *argv) == (2, "", f"error: bad rate '{text}': must be in (0, 1]\n")
 
     def test_huge_rate_exponent_exit_3_at_once(self, tmp_path):
         # Fraction would expand 1e-20000000 into a 20-million-digit integer;

@@ -40,11 +40,9 @@ def test_rm_tree_popcount_rule():
 
 
 def test_rm_tree_dimension_is_binomial_sum():
-    from plotkin_wef import binomial
-
     for m in range(9):
         for r in range(0, m + 1):
-            assert rm_tree(r, m).dimension == sum(binomial(m, j) for j in range(r + 1))
+            assert rm_tree(r, m).dimension == sum(math.comb(m, j) for j in range(r + 1))
 
 
 def test_rm_tree_dimension_pascal_identity():

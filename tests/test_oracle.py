@@ -4,14 +4,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import random_matrix
 from plotkin_wef import (
     BinaryMatrix,
     BudgetError,
-    Permutation,
     RankDeficiencyWarning,
     WeightEnumerator,
     combine,
@@ -20,6 +19,7 @@ from plotkin_wef import (
     exact_wef_bruteforce,
     uniform_permutation,
 )
+from plotkin_wef.oracle import _permute_bits, _span
 
 G_REP3 = BinaryMatrix.from_strings(["111"])
 G_SPC3 = BinaryMatrix.from_strings(["110", "011"])
@@ -101,29 +101,43 @@ class TestBinaryMatrix:
             BinaryMatrix.from_json_dict({"n": 0, "rows": []})
 
 
-class TestPermutation:
-    def test_bijection_required(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 2))
-        with pytest.raises(ValueError):
-            Permutation((1, 2, 3))
+class TestPermuteBits:
+    def test_coordinate_j_moves_to_mapping_j(self):
+        mapping = (2, 0, 1)
+        assert _permute_bits(0b001, mapping) == 0b100
+        assert _permute_bits(0b011, mapping) == 0b101
+        assert _permute_bits(0b111, mapping) == 0b111
+        assert _permute_bits(0, mapping) == 0
 
-    def test_apply_bits(self):
-        perm = Permutation((2, 0, 1))
-        # coordinate j of the input moves to mapping[j]
-        assert perm.apply_bits(0b001) == 0b100
-        assert perm.apply_bits(0b011) == 0b101
-        assert perm.apply_bits(0b111) == 0b111
-        assert perm.n == 3
+
+class TestSpan:
+    @given(st.integers(0, 10), st.integers(1, 16), st.randoms(use_true_random=False))
+    @example(0, 3, random.Random(1))
+    def test_each_word_of_the_coset_once(self, k, n, rng):
+        # An independent basis of k <= n rows, and a start word outside or
+        # inside the span: the walk yields word ^ s once for each s.
+        k = min(k, n)
+        while True:
+            basis = [rng.getrandbits(n) for _ in range(k)]
+            if BinaryMatrix(n, basis).rank() == k:
+                break
+        word = rng.getrandbits(n)
+        span = {0}
+        for row in basis:
+            span |= {s ^ row for s in span}
+        walked = list(_span(basis, word))
+        assert len(walked) == 1 << k
+        assert set(walked) == {word ^ s for s in span}
+        assert list(_span(basis)) == [w ^ word for w in walked]
 
 
 class TestUniformPermutation:
     def test_n1_is_identity(self):
-        assert uniform_permutation(1, random.Random(7)).mapping == (0,)
+        assert uniform_permutation(1, random.Random(7)) == (0,)
 
     def test_pinned_draw(self):
         # Reproducibility contract: Mersenne Twister + the Fisher-Yates loop.
-        assert uniform_permutation(3, random.Random(42)).mapping == (1, 0, 2)
+        assert uniform_permutation(3, random.Random(42)) == (1, 0, 2)
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
@@ -133,9 +147,7 @@ class TestUniformPermutation:
         from scipy.stats import chisquare
 
         rng = random.Random(12345)
-        counts = Counter(
-            uniform_permutation(3, rng).mapping for _ in range(60000)
-        )
+        counts = Counter(uniform_permutation(3, rng) for _ in range(60000))
         assert len(counts) == 6
         result = chisquare([counts[key] for key in sorted(counts)])
         assert result.pvalue > 0.001
@@ -199,11 +211,11 @@ class TestExhaustiveEnsemble:
 
     def test_invariant_under_v_column_permutation(self):
         rng = random.Random(9)
-        perm = Permutation((3, 1, 4, 0, 2))
+        mapping = (3, 1, 4, 0, 2)
         for _ in range(10):
             G0 = random_matrix(rng, 5, 2)
             G1 = random_matrix(rng, 5, 2)
-            permuted = BinaryMatrix(5, tuple(perm.apply_bits(r) for r in G1.rows))
+            permuted = BinaryMatrix(5, tuple(_permute_bits(r, mapping) for r in G1.rows))
             assert ensemble_wef_exhaustive(G0, G1) == ensemble_wef_exhaustive(
                 G0, permuted
             )

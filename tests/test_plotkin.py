@@ -22,7 +22,9 @@ from plotkin_wef import (
     cli,
     combine,
     combine_single_weight,
+    common_denominator,
     exact_wef_bruteforce,
+    fractions_over,
     min_distance_combine,
     kernel,
     plotkin,
@@ -290,3 +292,38 @@ def test_combine_int_receives_lowest_terms_prefixes(monkeypatch, tmp_path):
     for k, u, v in seen:
         for den, nums in (u, v):
             assert math.gcd(den, *nums[: k + 1]) == 1
+
+
+# combine_int reduces its output by one gcd, on every window: den is the lcm
+# of the reduced coefficient denominators also when the window starts above
+# weight 0, which no tree recursion asks for.
+
+
+@st.composite
+def rational_pairs(draw):
+    n = draw(st.integers(1, 12))
+    coeffs = st.lists(
+        st.fractions(min_value=0, max_value=20, max_denominator=12),
+        min_size=n + 1, max_size=n + 1,
+    )
+    u, v = draw(coeffs), draw(coeffs)
+    shape = draw(st.sampled_from(["palindromic", "skewed", "any"]))
+    if shape == "palindromic":
+        v = [v[min(b, n - b)] for b in range(n + 1)]
+    elif shape == "skewed":
+        v = v[: n // 2 + 1] + [Fraction(0)] * (n - n // 2)
+    return n, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pairs())
+def test_combine_int_returns_each_window_over_its_least_common_denominator(case):
+    n, u, v = case
+    full = literal_combine(WeightEnumerator(n, u), WeightEnumerator(n, v)).coeffs
+    for hi in range(2 * n + 1):
+        k = min(hi, n)
+        u_int, v_int = common_denominator(u[: k + 1]), common_denominator(v[: k + 1])
+        for lo in range(hi + 1):
+            den, nums = plotkin.combine_int(n, u_int, v_int, hi, lo)
+            assert fractions_over(den, nums) == full[lo : hi + 1]
+            assert den == math.lcm(*(Fraction(num, den).denominator for num in nums))

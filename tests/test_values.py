@@ -15,7 +15,6 @@ from plotkin_wef import (
     ChannelPoint,
     Leaf,
     MonteCarloEstimate,
-    Permutation,
     WeightEnumerator,
     rm_tree,
 )
@@ -56,13 +55,6 @@ CASES = {
         BinaryMatrix(3, (5,)),
         "BinaryMatrix(n=3, rows=(5, 2))",
         ("n", "rows"),
-    ),
-    "Permutation": (
-        lambda: Permutation((2, 0, 1)),
-        lambda: Permutation(mapping=(2, 0, 1)),
-        Permutation((0, 1, 2)),
-        "Permutation(mapping=(2, 0, 1))",
-        ("mapping",),
     ),
 }
 
