@@ -1,5 +1,5 @@
-"""The shared rows of Pascal's triangle and the interleaver-average combining
-weight.
+"""The shared half rows of Pascal's triangle and the interleaver-average
+combining weight.
 
 Everything here runs on Python's arbitrary-precision integers and
 `fractions.Fraction`; no floating point, no modular shortcuts.
@@ -14,14 +14,17 @@ from .enumerator import _fraction_class
 
 
 class BinomialTable:
-    """Rows 0..n of Pascal's triangle: ``rows[a]`` is [C(a, 0), ..., C(a, a)].
+    """Rows 0..n of Pascal's triangle, each to its middle: ``rows[a]`` is
+    [C(a, 0), ..., C(a, a//2)]; the rest of the row is C(a, b) = C(a, a-b),
+    the stored half read backwards (``whole_row``).
 
-    Each row is one ``map(add)`` over the row before it.  Rows are built once
-    and never mutated afterwards, so a table can be shared freely between
-    threads.  Row a holds a + 1 integers of up to a bits, so the rows grow as
-    n^3: rows 0..512 take 8.4 MiB and rows 0..1024 50 MiB (``sys.getsizeof``
-    of the lists and their integers); see ``shared_table`` for which rows the
-    session holds.
+    Each row is one ``map(add)`` over the half row before it, plus the
+    middle entry C(a, a/2) = 2 C(a-1, a/2-1) when a is even.  Rows are built
+    once and never mutated afterwards, so a table can be shared freely
+    between threads.  Row a holds a//2 + 1 integers of up to a bits, so the
+    rows grow as n^3: rows 0..512 take 4.2 MiB and rows 0..1024 25 MiB
+    (``sys.getsizeof`` of the lists and their integers), half of what whole
+    rows take; see ``shared_table`` for which rows the session holds.
     """
 
     __slots__ = ("rows",)
@@ -34,7 +37,8 @@ _shared = BinomialTable([[1]])
 
 
 def shared_table(min_n: int) -> BinomialTable:
-    """Session-wide table covering rows up to at least ``min_n``.
+    """Session-wide table covering rows up to at least ``min_n``, each to
+    its middle entry (``BinomialTable``).
 
     It starts at row 0 and grows only when asked for a row it lacks, which
     ``plotkin._plan`` does for a full plan of length n alone: the table holds
@@ -53,11 +57,19 @@ def shared_table(min_n: int) -> BinomialTable:
     if len(table.rows) <= min_n:
         rows = list(table.rows)
         row = rows[-1]
-        for _ in range(len(rows), min_n + 1):
-            row = [1, *map(add, row, row[1:]), 1]
+        for a in range(len(rows), min_n + 1):
+            # At even a, C(a, a/2) = C(a-1, a/2-1) + C(a-1, a/2) = 2 C(a-1, a/2-1).
+            middle = [2 * row[-1]] if a % 2 == 0 else []
+            row = [1, *map(add, row, row[1:]), *middle]
             rows.append(row)
         table = _shared = BinomialTable(rows)
     return table
+
+
+def whole_row(half: list[int], a: int) -> list[int]:
+    """Row a of Pascal's triangle, [C(a, 0), ..., C(a, a)], from its half
+    row [C(a, 0), ..., C(a, a//2)]: C(a, b) = C(a, a-b) above the middle."""
+    return half + half[: (a + 1) // 2][::-1]
 
 
 def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:

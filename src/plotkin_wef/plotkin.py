@@ -57,7 +57,7 @@ import math
 from operator import add, mul
 
 from . import kernel
-from .combinatorics import shared_table
+from .combinatorics import shared_table, whole_row
 from .enumerator import WeightEnumerator, common_denominator, fractions_over
 
 
@@ -90,14 +90,19 @@ def _plan(n: int, k: int) -> tuple:
     A plan depends on (n, k) only, and a tree recursion meets the same pair
     at every node of a level, so the last 64 plans are kept; every
     caller gets the same lists, which nothing writes to.  A full plan
-    (2k >= n) holds the rows of the shared table, copying none, and grows
-    that table to row n if it is shorter; a truncated plan owns its ~k^2/4
-    entries.  So the memory of the plans is rows 0..n of the largest full
-    plan (50 MiB at n = 1024) plus up to 64 truncated plans of ~k^2/4
-    entries each.
+    (2k >= n) holds the half rows C(a, 0..a//2) of the shared table,
+    copying none, and grows that table to row n if it is shorter; the
+    kernel completes a half row by C(a, b) = C(a, a-b) where a window reads
+    past it, and so does this function with row n before it takes the scale
+    of k > n/2.  A truncated plan owns its ~k^2/4 entries.  So the memory of
+    the plans is the half rows 0..n of the largest full plan (25 MiB at
+    n = 1024) plus up to 64 truncated plans of ~k^2/4 entries each.
     """
     rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
-    row_n = rows[n][: k + 1]
+    row_n = rows[n]
+    if len(row_n) <= k:
+        row_n = whole_row(row_n, n)
+    row_n = row_n[: k + 1]
     scale = math.lcm(*row_n)
     return rows, scale, [*map(scale.__floordiv__, row_n)]
 

@@ -20,15 +20,21 @@ def test_table_matches_multiplicative_form():
     rows = shared_table(30).rows
     assert len(rows) >= 31
     for n, row in enumerate(rows[:31]):
-        assert row == [multiplicative_binomial(n, k) for k in range(n + 1)]
+        assert row == [multiplicative_binomial(n, k) for k in range(n // 2 + 1)]
 
 
 def test_table_pascal_rule_and_row_sums():
-    table = shared_table(30)
+    # Row n holds C(n, 0..n//2); C(n, k) above the middle is C(n, n - k).
+    rows = shared_table(30).rows
+
+    def entry(n, k):
+        return rows[n][min(k, n - k)]
+
     for n in range(1, 31):
-        assert sum(table.rows[n]) == 2**n
+        middle = rows[n][-1] if n % 2 == 0 else 0
+        assert 2 * sum(rows[n]) - middle == 2**n
         for k in range(1, n):
-            assert table.rows[n][k] == table.rows[n - 1][k - 1] + table.rows[n - 1][k]
+            assert entry(n, k) == entry(n - 1, k - 1) + entry(n - 1, k)
 
 
 def test_shared_table_never_shrinks():
@@ -47,7 +53,12 @@ def test_grown_table_shares_existing_rows(monkeypatch):
     assert [len(t.rows) for t in (small, middle, large)] == [6, 38, 301]
     assert all(middle.rows[a] is small.rows[a] for a in range(6))
     assert all(large.rows[a] is middle.rows[a] for a in range(38))
-    assert large.rows == [[math.comb(a, b) for b in range(a + 1)] for a in range(301)]
+    assert large.rows == [[math.comb(a, b) for b in range(a // 2 + 1)] for a in range(301)]
+
+
+def test_rows_stop_at_their_middle():
+    rows = shared_table(300).rows
+    assert all(len(rows[a]) == a // 2 + 1 for a in range(301))
 
 
 def test_plotkin_coefficient_known_values():
@@ -104,9 +115,7 @@ def test_plotkin_coefficient_does_not_grow_the_table():
 
 
 def test_plotkin_coefficient_matches_the_table_formula():
-    # Every index below is inside its row on this box, so no row is read
-    # from its end.
-    c = shared_table(9).rows
+    c = math.comb
     for n in range(1, 10):
         for w in range(2 * n + 1):
             lo = max(0, w - n)
@@ -114,7 +123,7 @@ def test_plotkin_coefficient_matches_the_table_formula():
                 for vo in range(lo, min(wv, w - wv) + 1):
                     a = w - wv
                     expected = Fraction(
-                        c[n][a] * c[a][vo] * c[n - a][wv - vo], c[n][wv] * c[n][w - 2 * vo]
+                        c(n, a) * c(a, vo) * c(n - a, wv - vo), c(n, wv) * c(n, w - 2 * vo)
                     )
                     assert plotkin_coefficient(n, w, wv, vo) == expected
 

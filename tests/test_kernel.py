@@ -182,10 +182,10 @@ def test_palindromic_v_halves_the_products(monkeypatch):
         assert counts == {"mul": products, "add": products + pascal}
 
 
-def scaled_v_hat(n, v_nums, rows):
+def scaled_v_hat(n, v_nums):
     """``v_hat`` as combine_int builds it, over the scale lcm(C(n, 0..n))."""
-    scale = math.lcm(*rows[n])
-    return scale, [num * (scale // rows[n][b]) for b, num in enumerate(v_nums)]
+    scale = math.lcm(*(math.comb(n, b) for b in range(n + 1)))
+    return scale, [num * (scale // math.comb(n, b)) for b, num in enumerate(v_nums)]
 
 
 def unmirrored(n, u, v_hat, rows, hi):
@@ -216,13 +216,36 @@ def test_mirrored_kernel_matches_unmirrored_window_and_literal_sum(inputs):
     n, u, v, hi = inputs
     assert v == v[::-1]
     rows = shared_table(n).rows
-    scale, v_hat = scaled_v_hat(n, v, rows)
+    scale, v_hat = scaled_v_hat(n, v)
     nums = kernel.combine_numerators(n, u, v_hat, rows, 0, hi)
     assert nums == unmirrored(n, u, v_hat, rows, hi)
     expected = literal_combine(
         WeightEnumerator(n, tuple(map(Fraction, u))), WeightEnumerator(n, tuple(map(Fraction, v)))
     ).coeffs
     assert [Fraction(num, scale) for num in nums] == list(expected[: hi + 1])
+
+
+def test_half_rows_complete_past_their_middle_at_every_small_n():
+    """Every window lo..hi with hi > n at n <= 9, over the shared table's
+    half rows: a skewed v reads past the middle of rows[n-j], rows 0 and 1
+    included (u is nonzero up to weight n), and so does a palindromic v in
+    every window that is not mirrored, lo > 0."""
+    for n in range(1, 10):
+        rows = shared_table(n).rows
+        u = [(5 * j + 3) % 7 + 1 for j in range(n + 1)]
+        skewed = [b * b + (5 * b) % 3 + 1 for b in range(n + 1)]
+        palindromic = [min(b, n - b) + 2 for b in range(n + 1)]
+        assert skewed != skewed[::-1]
+        for v in (skewed, palindromic):
+            scale, v_hat = scaled_v_hat(n, v)
+            expected = literal_combine(
+                WeightEnumerator(n, tuple(map(Fraction, u))),
+                WeightEnumerator(n, tuple(map(Fraction, v))),
+            ).coeffs
+            for hi in range(n + 1, 2 * n + 1):
+                for lo in range(hi + 1):
+                    nums = kernel.combine_numerators(n, u, v_hat, rows, lo, hi)
+                    assert [Fraction(num, scale) for num in nums] == list(expected[lo : hi + 1])
 
 
 def test_working_memory_is_linear_in_n():
@@ -323,7 +346,7 @@ def test_large_palindromic_combine_matches_unmirrored_window_and_literal_sum(n):
     half = [rng.randrange(1, 10**6) for _ in range(n // 2 + 1)]
     v = half + half[: (n + 1) // 2][::-1]
     rows = shared_table(n).rows
-    scale, v_hat = scaled_v_hat(n, v, rows)
+    scale, v_hat = scaled_v_hat(n, v)
     nums = kernel.combine_numerators(n, u, v_hat, rows, 0, 2 * n)
     assert nums == unmirrored(n, u, v_hat, rows, 2 * n)
     u_enum = WeightEnumerator(n, tuple(map(Fraction, u)))

@@ -235,6 +235,31 @@ def test_truncated_plan_holds_about_k_squared_over_4_entries(n, k):
     assert scale == math.lcm(*rows[n]) and mults == [scale // c for c in rows[n]]
 
 
+class _Uncompletable(list):
+    """A row that fails the test if the kernel completes it by symmetry."""
+
+    def __add__(self, other):
+        raise AssertionError("a truncated plan's row was completed as a half row")
+
+
+@pytest.mark.parametrize("n, k", [(9, 4), (16, 7), (17, 8), (41, 3), (64, 31)])
+def test_truncated_plan_rows_are_never_completed_as_half_rows(n, k):
+    # A truncated row stops where the windows of its plan stop reading, not
+    # at its middle, so completing it by C(a, b) = C(a, a-b) would misplace
+    # every entry past its end.
+    rows, _, mults = plotkin._plan.__wrapped__(n, k)
+    guarded = {a: _Uncompletable(row) for a, row in rows.items()}
+    fresh_rows = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
+    rng = random.Random(n)
+    u = [rng.choice([1, rng.getrandbits(40)]) for _ in range(k + 1)]
+    v = [rng.choice([1, rng.getrandbits(40)]) for _ in range(k + 1)]
+    v_hat = [num * mult for num, mult in zip(v, mults)]
+    for hi in range(k + 1):
+        for lo in range(hi + 1):
+            got = kernel.combine_numerators(n, u, v_hat, guarded, lo, hi)
+            assert got == kernel.combine_numerators(n, u, v_hat, fresh_rows, lo, hi)
+
+
 def test_full_plan_copies_no_rows():
     rows, _, mults = plotkin._plan.__wrapped__(64, 40)
     assert rows is shared_table(64).rows
