@@ -1,5 +1,8 @@
-"""The shared half rows of Pascal's triangle and the interleaver-average
-combining weight.
+"""Rows of Pascal's triangle and the interleaver-average combining weight.
+
+Every binomial row the combines read is built here, by one walk
+(``pascal_rows``): the session's shared half rows, and the rows n-k..n of
+a truncated combine plan.
 
 Everything here runs on Python's arbitrary-precision integers and
 `fractions.Fraction`; no floating point, no modular shortcuts.
@@ -18,19 +21,45 @@ class BinomialTable:
     [C(a, 0), ..., C(a, a//2)]; the rest of the row is C(a, b) = C(a, a-b),
     the stored half read backwards (``whole_row``).
 
-    Each row is one ``map(add)`` over the half row before it, plus the
-    middle entry C(a, a/2) = 2 C(a-1, a/2-1) when a is even.  Rows are built
-    once and never mutated afterwards, so a table can be shared freely
-    between threads.  Row a holds a//2 + 1 integers of up to a bits, so the
-    rows grow as n^3: rows 0..512 take 4.2 MiB and rows 0..1024 25 MiB
-    (``sys.getsizeof`` of the lists and their integers), half of what whole
-    rows take; see ``shared_table`` for which rows the session holds.
+    The rows are ``pascal_rows`` with lag 0.  They are built once and never
+    mutated afterwards, so a table can be shared freely between threads.
+    Row a holds a//2 + 1 integers of up to a bits, so the rows grow as n^3:
+    rows 0..512 take 4.2 MiB and rows 0..1024 25 MiB (``sys.getsizeof`` of
+    the lists and their integers), half of what whole rows take; see
+    ``shared_table`` for which rows the session holds.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: list[list[int]]) -> None:
         self.rows = rows
+
+
+def extend_row(row: list[int], a: int, top: int) -> list[int]:
+    """``row``, a prefix of row a of Pascal's triangle, extended in place to
+    the entries 0..top by C(a, b) = C(a, b-1) (a-b+1) / b; returns ``row``."""
+    for b in range(len(row), top + 1):
+        row.append(row[-1] * (a - b + 1) // b)
+    return row
+
+
+def pascal_rows(row: list[int], first: int, last: int, lag: int) -> list[list[int]]:
+    """Rows first..last of Pascal's triangle, row a holding the entries
+    0..(a-lag)//2: [C(a, 0), ..., C(a, (a-lag)//2)].
+
+    ``row`` is row first-1 as far as it is kept, or [] for none.  Each row
+    is Pascal's rule over the one above it, which gives as many entries as
+    that row keeps, and ``extend_row`` adds the rest.  This is the one place
+    rows are built: lag 0 gives the half rows of the shared table, and a
+    truncated plan of length n over the weights 0..k (2k < n) takes rows
+    n-k..n with lag n-k from the empty row, the entries 0..(k-j)//2 of row
+    n-j that its windows read.
+    """
+    rows = []
+    for a in range(first, last + 1):
+        row = extend_row([1, *map(add, row, row[1:])], a, (a - lag) // 2)
+        rows.append(row)
+    return rows
 
 
 _shared = BinomialTable([[1]])
@@ -48,21 +77,15 @@ def shared_table(min_n: int) -> BinomialTable:
 
     Grows on demand and is never shrunk; every row is built at most once per
     session: growth copies the list of rows, sharing every row object, and
-    appends the new rows to the copy.  No row is ever mutated, so concurrent
-    readers may hold different generations, all of which agree on shared
-    rows.
+    appends the new rows (``pascal_rows`` from the last row held) to the
+    copy.  No row is ever mutated, so concurrent readers may hold different
+    generations, all of which agree on shared rows.
     """
     global _shared
     table = _shared
     if len(table.rows) <= min_n:
-        rows = list(table.rows)
-        row = rows[-1]
-        for a in range(len(rows), min_n + 1):
-            # At even a, C(a, a/2) = C(a-1, a/2-1) + C(a-1, a/2) = 2 C(a-1, a/2-1).
-            middle = [2 * row[-1]] if a % 2 == 0 else []
-            row = [1, *map(add, row, row[1:]), *middle]
-            rows.append(row)
-        table = _shared = BinomialTable(rows)
+        rows = table.rows
+        table = _shared = BinomialTable([*rows, *pascal_rows(rows[-1], len(rows), min_n, 0)])
     return table
 
 

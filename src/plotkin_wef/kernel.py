@@ -45,7 +45,7 @@ a prefix and lo = hi a single weight.  With k = min(hi, n), a window reads
 so u, v_hat and the rows need the indices 0..k only.  ``u`` may be
 longer than k+1, as a whole length-n spectrum under a window hi < n is:
 ``last`` never exceeds k, so nothing past u[k] is read.  A prefix 0..W
-(W <= n) costs about W^2/2 additions and W^2/2 products; one weight w costs
+(W <= n) costs about W^2/2 additions and W^2/4 products; one weight w costs
 about t^2/2 additions and at most t/2 + 1 products, t = min(w, 2n-w, k).
 
 Column j adds to the weights j + 2m for the ``count`` values of m from
@@ -94,6 +94,7 @@ def combine_numerators(n, u, v_hat, rows, lo, hi):
         if u[j]:
             # The m of the weights j + 2m in lo..top: first .. first + count - 1.
             first = max(s, (lo - j + 1) // 2)
+            # The window's top bound keeps reads inside a truncated plan's rows.
             count = min(s + len(a), (top - j) // 2 + 1) - first
             row = rows[n - j]
             if first + count > len(row):

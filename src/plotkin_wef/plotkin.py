@@ -18,7 +18,10 @@ full combine costs about n^2/2 big-int products and n^2/2 additions.
 Integer arithmetic is exact, so results never depend on evaluation order.
 The binomial rows, the scale and the multipliers scale / C(n, b) depend on
 n and the highest component weight k alone: they form the combine plan of
-(n, k), built once and kept among the last few (``_plan``).
+(n, k), built once and kept among the last few (``_plan``).  Its rows come
+from the one row walk, ``combinatorics.pascal_rows``: the shared half rows
+for a full plan, and for a truncated plan (2k < n) rows n-k..n as far as
+its windows read them, row n to entry k//2.
 
 Complementing the v-word (v -> v + 1, and perm(1) = 1) keeps the u-weight j,
 maps v-weight b to n - b and output weight w to 2n - w, with the same
@@ -54,31 +57,11 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import add, mul
+from operator import mul
 
 from . import kernel
-from .combinatorics import shared_table, whole_row
+from .combinatorics import extend_row, pascal_rows, shared_table
 from .enumerator import WeightEnumerator, common_denominator, fractions_over
-
-
-def _truncated_rows(n: int, k: int) -> dict[int, list[int]]:
-    """Rows n-k..n, keyed by row, as far as a window of output weights <= k
-    reads them (2k < n): entries 0..(k-j)//2 of row n-j for j >= 1, and
-    entries 0..k of row n, whose lcm is the scale.
-
-    Each row is Pascal's rule over the one below it, which gives as many
-    entries as that row has; the rest come from C(a, b) = C(a, b-1) (a-b+1) / b.
-    That is about k^2/4 integers, not (k+1)^2.
-    """
-    rows = {}
-    row = []
-    for a in range(n - k, n + 1):
-        row = [1, *map(add, row, row[1:])]
-        top = k if a == n else (k - n + a) // 2
-        for b in range(len(row), top + 1):
-            row.append(row[-1] * (a - b + 1) // b)
-        rows[a] = row
-    return rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,16 +76,19 @@ def _plan(n: int, k: int) -> tuple:
     (2k >= n) holds the half rows C(a, 0..a//2) of the shared table,
     copying none, and grows that table to row n if it is shorter; the
     kernel completes a half row by C(a, b) = C(a, a-b) where a window reads
-    past it, and so does this function with row n before it takes the scale
-    of k > n/2.  A truncated plan owns its ~k^2/4 entries.  So the memory of
-    the plans is the half rows 0..n of the largest full plan (25 MiB at
-    n = 1024) plus up to 64 truncated plans of ~k^2/4 entries each.
+    past it.  A truncated plan owns rows n-k..n, entries 0..(k-j)//2 of row
+    n-j (``combinatorics.pascal_rows``): about k^2/4 entries, row n
+    stopping at entry k//2.  Either way the scale is taken from a copy of
+    row n's prefix 0..k, extended by ``combinatorics.extend_row``.  So the
+    memory of the plans is the half rows 0..n of the largest full plan
+    (25 MiB at n = 1024) plus up to 64 truncated plans of ~k^2/4 entries
+    each.
     """
-    rows = shared_table(n).rows if 2 * k >= n else _truncated_rows(n, k)
-    row_n = rows[n]
-    if len(row_n) <= k:
-        row_n = whole_row(row_n, n)
-    row_n = row_n[: k + 1]
+    if 2 * k >= n:
+        rows = shared_table(n).rows
+    else:
+        rows = dict(enumerate(pascal_rows([], n - k, n, n - k), n - k))
+    row_n = extend_row(rows[n][: k + 1], n, k)
     scale = math.lcm(*row_n)
     return rows, scale, [*map(scale.__floordiv__, row_n)]
 

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import fresh_table_rows
 from plotkin_wef import BinomialTable, combinatorics, plotkin_coefficient, shared_table
+from plotkin_wef.combinatorics import extend_row, pascal_rows
 
 
 def multiplicative_binomial(n, k):
@@ -59,6 +62,37 @@ def test_grown_table_shares_existing_rows(monkeypatch):
 def test_rows_stop_at_their_middle():
     rows = shared_table(300).rows
     assert all(len(rows[a]) == a // 2 + 1 for a in range(301))
+
+
+@st.composite
+def walk_cases(draw):
+    n = draw(st.integers(0, 160))
+    k = draw(st.sampled_from([n, 0, 1, max(0, (n - 1) // 2)]) | st.integers(0, n))
+    # The walk's two callers: the shared table (k = n) and a truncated plan.
+    return n, k if 2 * k < n else n
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases())
+@example((0, 0))
+@example((1, 0))
+@example((2, 2))
+@example((7, 0))
+@example((8, 0))
+@example((7, 1))
+@example((8, 1))
+@example((64, 31))
+@example((160, 160))
+def test_pascal_rows_match_math_comb(case):
+    # Rows n-k..n from the empty row, row a to entry (a-n+k)//2: the half
+    # rows 0..n when k = n, the band of a truncated plan when 2k < n; and
+    # row n's prefix 0..k, the row the plan's scale is taken from.
+    n, k = case
+    rows = pascal_rows([], n - k, n, n - k)
+    assert rows == [
+        [math.comb(a, b) for b in range((a - n + k) // 2 + 1)] for a in range(n - k, n + 1)
+    ]
+    assert extend_row(rows[-1][: k + 1], n, k) == [math.comb(n, b) for b in range(k + 1)]
 
 
 def test_plotkin_coefficient_known_values():

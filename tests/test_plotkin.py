@@ -224,15 +224,16 @@ def test_plan_gives_the_kernel_what_fresh_rows_give(case):
 @pytest.mark.parametrize("n, k", [(1024, 64), (1023, 64), (512, 31), (300, 149)])
 def test_truncated_plan_holds_about_k_squared_over_4_entries(n, k):
     rows, scale, mults = plotkin._plan.__wrapped__(n, k)
-    # Entries 0..(k-j)//2 of row n-j for j = 1..k, and 0..k of row n.
+    # Entries 0..(k-j)//2 of row n-j for j = 0..k: row n stops at k//2 too,
+    # where the windows of the plan stop reading it.
     assert sorted(rows) == list(range(n - k, n + 1))
-    assert [len(rows[n - j]) for j in range(1, k + 1)] == [(k - j) // 2 + 1 for j in range(1, k + 1)]
-    assert rows[n] == [math.comb(n, b) for b in range(k + 1)]
+    assert [len(rows[n - j]) for j in range(k + 1)] == [(k - j) // 2 + 1 for j in range(k + 1)]
     for a, row in rows.items():
         assert row == [math.comb(a, b) for b in range(len(row))]
     entries = sum(map(len, rows.values()))
     assert k * k / 4 < entries <= k * k / 4 + 2 * (k + 1)
-    assert scale == math.lcm(*rows[n]) and mults == [scale // c for c in rows[n]]
+    row_n = [math.comb(n, b) for b in range(k + 1)]
+    assert scale == math.lcm(*row_n) and mults == [scale // c for c in row_n]
 
 
 class _Uncompletable(list):
