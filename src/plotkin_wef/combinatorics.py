@@ -2,7 +2,8 @@
 
 Every binomial row the combines read is built here, by one walk
 (``pascal_rows``): the session's shared half rows, and the rows n-k..n of
-a truncated combine plan.
+a truncated combine plan.  The kernel alone reads them, a half row past its
+middle included.
 
 Everything here runs on Python's arbitrary-precision integers and
 `fractions.Fraction`; no floating point, no modular shortcuts.
@@ -19,7 +20,7 @@ from .enumerator import _fraction_class
 class BinomialTable:
     """Rows 0..n of Pascal's triangle, each to its middle: ``rows[a]`` is
     [C(a, 0), ..., C(a, a//2)]; the rest of the row is C(a, b) = C(a, a-b),
-    the stored half read backwards (``whole_row``).
+    which the kernel reads from the stored half backwards.
 
     The rows are ``pascal_rows`` with lag 0.  They are built once and never
     mutated afterwards, so a table can be shared freely between threads.
@@ -87,12 +88,6 @@ def shared_table(min_n: int) -> BinomialTable:
         rows = table.rows
         table = _shared = BinomialTable([*rows, *pascal_rows(rows[-1], len(rows), min_n, 0)])
     return table
-
-
-def whole_row(half: list[int], a: int) -> list[int]:
-    """Row a of Pascal's triangle, [C(a, 0), ..., C(a, a)], from its half
-    row [C(a, 0), ..., C(a, a//2)]: C(a, b) = C(a, a-b) above the middle."""
-    return half + half[: (a + 1) // 2][::-1]
 
 
 def plotkin_coefficient(n: int, w: int, v_weight: int, v_only: int) -> Fraction:

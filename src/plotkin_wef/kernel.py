@@ -34,13 +34,15 @@ a prefix and lo = hi a single weight.  With k = min(hi, n), a window reads
   kept on m >= s alone;
 - entries s..min(k - j, (hi - j)/2) of rows[n-j] for j <= last (rows[a]
   holds C(a, .); nothing else of ``rows`` needs to exist).  A row may stop
-  at its middle, as the shared table's half rows [C(a, 0..a//2)] do; a
-  read past the end of a row completes it by C(a, b) = C(a, a-b)
-  (``combinatorics.whole_row``).  Only a window with hi > n that is not
-  mirrored (below), for a skewed v or with lo > 0, reads past
-  m = (n-j)/2; a mirrored window and a prefix hi <= n never do, and
-  neither does a window over a truncated plan, whose rows hold just the
-  entries it reads;
+  at its middle, as the shared table's half rows [C(a, 0..a//2)] do; past
+  the end of a row the kernel reads C(a, b) as C(a, a-b), the stored half
+  backwards, and copies only the entries the window reads.  It reverses a
+  forward slice: a step -1 slice down to C(a, a) = row[0] needs the stop
+  -1, which counts from the row's end, so that slice comes out empty.  Only
+  a window with hi > n that is not mirrored (below), for a skewed v or with
+  lo > 0, reads past m = (n-j)/2; a mirrored window and a prefix hi <= n
+  never do, and neither does a window over a truncated plan, whose rows
+  hold just the entries it reads;
 
 so u, v_hat and the rows need the indices 0..k only.  ``u`` may be
 longer than k+1, as a whole length-n spectrum under a window hi < n is:
@@ -71,8 +73,6 @@ products at even n and about n^2/4 additions.
 
 from operator import add, mul
 
-from .combinatorics import whole_row
-
 
 def combine_numerators(n, u, v_hat, rows, lo, hi):
     # A full window over a palindromic v_hat: evaluate 0..n, mirror the rest.
@@ -97,9 +97,12 @@ def combine_numerators(n, u, v_hat, rows, lo, hi):
             # The window's top bound keeps reads inside a truncated plan's rows.
             count = min(s + len(a), (top - j) // 2 + 1) - first
             row = rows[n - j]
-            if first + count > len(row):
-                row = whole_row(row, n - j)
-            terms = map(mul, a[first - s : first - s + count], row[first : first + count])
+            c = row[first : first + count]
+            if len(c) < count:
+                # Past the middle, C(n-j, m) = C(n-j, n-j-m) read backwards.
+                # The lower bound saves copying only: map stops at a's slice.
+                c += row[n - j - first - count + 1 : n - j - first - len(c) + 1][::-1]
+            terms = map(mul, a[first - s : first - s + count], c)
             start = j + 2 * first - lo
             stop = start + 2 * count
             out[start:stop:2] = map(add, out[start:stop:2], map(u[j].__mul__, terms))

@@ -74,15 +74,15 @@ def _plan(n: int, k: int) -> tuple:
     at every node of a level, so the last 64 plans are kept; every
     caller gets the same lists, which nothing writes to.  A full plan
     (2k >= n) holds the half rows C(a, 0..a//2) of the shared table,
-    copying none, and grows that table to row n if it is shorter; the
-    kernel completes a half row by C(a, b) = C(a, a-b) where a window reads
-    past it.  A truncated plan owns rows n-k..n, entries 0..(k-j)//2 of row
-    n-j (``combinatorics.pascal_rows``): about k^2/4 entries, row n
-    stopping at entry k//2.  Either way the scale is taken from a copy of
-    row n's prefix 0..k, extended by ``combinatorics.extend_row``.  So the
-    memory of the plans is the half rows 0..n of the largest full plan
-    (25 MiB at n = 1024) plus up to 64 truncated plans of ~k^2/4 entries
-    each.
+    copying none, and grows that table to row n if it is shorter; where a
+    window reads past a half row's middle, the kernel reads C(a, b) as
+    C(a, a-b) from the half.  A truncated plan owns rows n-k..n, entries
+    0..(k-j)//2 of row n-j (``combinatorics.pascal_rows``): about k^2/4
+    entries, row n stopping at entry k//2.  Either way the scale is taken
+    from a copy of row n's prefix 0..k, extended by
+    ``combinatorics.extend_row``.  So the memory of the plans is the half
+    rows 0..n of the largest full plan (25 MiB at n = 1024) plus up to 64
+    truncated plans of ~k^2/4 entries each.
     """
     if 2 * k >= n:
         rows = shared_table(n).rows

@@ -94,6 +94,13 @@ def test_the_package_import_loads_no_submodule():
     assert not FRACTION_MODULES & loaded
 
 
+def test_the_kernel_loads_no_other_package_module():
+    loaded = fresh_modules("import plotkin_wef.kernel")
+    assert {m for m in loaded if m.startswith("plotkin_wef")} == {
+        "plotkin_wef", "plotkin_wef.kernel",
+    }
+
+
 def test_oracle_and_bounds_load_fractions_only_to_build_one():
     loaded = fresh_modules("import plotkin_wef.oracle, plotkin_wef.bounds")
     assert {"plotkin_wef.oracle", "plotkin_wef.bounds"} <= loaded

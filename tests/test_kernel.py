@@ -225,13 +225,21 @@ def test_mirrored_kernel_matches_unmirrored_window_and_literal_sum(inputs):
     assert [Fraction(num, scale) for num in nums] == list(expected[: hi + 1])
 
 
-def test_half_rows_complete_past_their_middle_at_every_small_n():
+class _Uncompletable(list):
+    """A half row that fails the test if the kernel completes it."""
+
+    def __add__(self, other):
+        raise AssertionError("row completed")
+
+
+def test_half_rows_read_past_their_middle_at_every_small_n():
     """Every window lo..hi with hi > n at n <= 9, over the shared table's
     half rows: a skewed v reads past the middle of rows[n-j], rows 0 and 1
     included (u is nonzero up to weight n), and so does a palindromic v in
-    every window that is not mirrored, lo > 0."""
+    every window that is not mirrored, lo > 0.  The kernel reads those
+    entries from the stored half and completes no row."""
     for n in range(1, 10):
-        rows = shared_table(n).rows
+        rows = [*map(_Uncompletable, shared_table(n).rows)]
         u = [(5 * j + 3) % 7 + 1 for j in range(n + 1)]
         skewed = [b * b + (5 * b) % 3 + 1 for b in range(n + 1)]
         palindromic = [min(b, n - b) + 2 for b in range(n + 1)]

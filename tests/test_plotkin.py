@@ -236,20 +236,22 @@ def test_truncated_plan_holds_about_k_squared_over_4_entries(n, k):
     assert scale == math.lcm(*row_n) and mults == [scale // c for c in row_n]
 
 
-class _Uncompletable(list):
-    """A row that fails the test if the kernel completes it by symmetry."""
+class _Bounded(list):
+    """A row that fails the test on a slice whose stop passes its entries."""
 
-    def __add__(self, other):
-        raise AssertionError("a truncated plan's row was completed as a half row")
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.stop > len(self):
+            raise AssertionError("a read passed the end of a truncated plan's row")
+        return super().__getitem__(key)
 
 
 @pytest.mark.parametrize("n, k", [(9, 4), (16, 7), (17, 8), (41, 3), (64, 31)])
 def test_truncated_plan_rows_are_never_completed_as_half_rows(n, k):
     # A truncated row stops where the windows of its plan stop reading, not
-    # at its middle, so completing it by C(a, b) = C(a, a-b) would misplace
-    # every entry past its end.
+    # at its middle, so a read past its end would take C(a, b) = C(a, a-b)
+    # from entries the row does not hold, and drop terms as a short slice.
     rows, _, mults = plotkin._plan.__wrapped__(n, k)
-    guarded = {a: _Uncompletable(row) for a, row in rows.items()}
+    guarded = {a: _Bounded(row) for a, row in rows.items()}
     fresh_rows = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
     rng = random.Random(n)
     u = [rng.choice([1, rng.getrandbits(40)]) for _ in range(k + 1)]
