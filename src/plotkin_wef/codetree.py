@@ -10,12 +10,12 @@ bit of the index at depth d (most significant bit = the root split) is 0 on
 the left/u side and 1 on the right/v side.  In-order traversal therefore
 visits indices in increasing order.
 
-Trees are immutable values whose identity is cheap: a Branch computes its
-hash from its children's once, at construction, and ``rm_tree`` and
-``tree_from_active_set`` build each distinct subtree once and share it, so
-the per-call memo of ``ensemble_wef_int`` finds a repeated subtree by
-identity.  That recursion carries every spectrum as ``(den, nums)`` (see
-plotkin.py); ``ensemble_wef`` is its Fraction view.
+Trees are immutable values whose identity is cheap: every node computes its
+hash, length and dimension once, at construction, from its children's, and
+``rm_tree`` and ``tree_from_active_set`` build each distinct subtree once
+and share it, so the per-call memo of ``ensemble_wef_int`` finds a repeated
+subtree by identity.  That recursion carries every spectrum as
+``(den, nums)`` (see plotkin.py); ``ensemble_wef`` is its Fraction view.
 """
 
 from __future__ import annotations
@@ -28,55 +28,15 @@ from .plotkin import combine_int
 
 
 class CodeTree(Value):
-    """Base class for Leaf and Branch; trees are immutable values."""
+    """Base class for Leaf and Branch; trees are immutable values.
 
-    __slots__ = ()
+    Every node holds its length, its dimension and its hash in slots, set
+    once by its constructor (a branch's from its children's), so none of
+    them walks the subtree.  Equality is one walk over node pairs, here for
+    both kinds.
+    """
 
-
-class Leaf(CodeTree):
-    __slots__ = _fields = ("active",)
-
-    def __init__(self, active: bool) -> None:
-        object.__setattr__(self, "active", active)
-
-    # Leaves and branches are built and hashed on every tree-building call,
-    # so both spell out their own equality and hash.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.active == other.active
-
-    def __hash__(self) -> int:
-        return hash((self.active,))
-
-    @property
-    def length(self) -> int:
-        return 1
-
-    @property
-    def dimension(self) -> int:
-        return 1 if self.active else 0
-
-
-class Branch(CodeTree):
-    """Internal node; its hash, length and dimension are computed once, at
-    construction, from the children's, so none of them walks the subtree."""
-
-    _fields = ("left", "right")
-    __slots__ = (*_fields, "length", "dimension", "_hash")
-
-    def __init__(self, left: CodeTree, right: CodeTree) -> None:
-        length = left.length
-        if length != right.length:
-            raise ValueError(
-                f"children have unequal lengths:"
-                f" {length} vs {right.length}"
-            )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "length", 2 * length)
-        object.__setattr__(self, "dimension", left.dimension + right.dimension)
-        object.__setattr__(self, "_hash", hash((left, right)))
+    __slots__ = ("length", "dimension", "_hash")
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,14 +52,47 @@ class Branch(CodeTree):
             a, b = pairs.pop()
             if a is b or (id(a), id(b)) in seen:
                 continue
-            if a.__class__ is not b.__class__ or hash(a) != hash(b):
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
                 return False
             if a.__class__ is Branch:
                 seen.add((id(a), id(b)))
                 pairs += (a.right, b.right), (a.left, b.left)
-            elif a != b:
+            elif a.active != b.active:
                 return False
         return True
+
+
+class Leaf(CodeTree):
+    """One coordinate: frozen (pinned to 0) or active (one free bit); its
+    hash is that of the tuple ``(active,)``."""
+
+    __slots__ = _fields = ("active",)
+
+    def __init__(self, active: bool) -> None:
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "length", 1)
+        object.__setattr__(self, "dimension", 1 if active else 0)
+        object.__setattr__(self, "_hash", hash((active,)))
+
+
+class Branch(CodeTree):
+    """Internal node {(u + v, v)}: ``left`` supplies u and ``right`` supplies
+    v; its hash is that of the tuple ``(left, right)``."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: CodeTree, right: CodeTree) -> None:
+        length = left.length
+        if length != right.length:
+            raise ValueError(
+                f"children have unequal lengths:"
+                f" {length} vs {right.length}"
+            )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "length", 2 * length)
+        object.__setattr__(self, "dimension", left.dimension + right.dimension)
+        object.__setattr__(self, "_hash", hash((left, right)))
 
 
 def rm_tree(r: int, m: int) -> CodeTree:
@@ -256,23 +249,25 @@ def dual_tree(tree: CodeTree) -> CodeTree:
 def generator_matrix(tree: CodeTree) -> BinaryMatrix:
     """Generator of the identity-permutation instance of the tree's code.
 
-    Each active leaf contributes one row, in leaf-index order: rows from the
-    left subtree extend as (g | 0), rows from the right subtree as (g | g).
-    The rows are linearly independent, so k = dimension(tree).
+    Each active leaf contributes one row, in leaf-index order: leaf i's row
+    has a 1 at every position p whose bits are a subset of i's bits, which
+    is what extending left-subtree rows as (g | 0) and right-subtree rows as
+    (g | g) builds.  The rows cost O(|active| * m) big-int operations, with
+    no visit to a frozen subtree.  They are linearly independent, so
+    k = dimension(tree).
     """
     # Imported here, so that rm and tree load oracle only for
     # --emit-generator.
     from .oracle import BinaryMatrix
 
-    def rows_of(t: CodeTree) -> list[int]:
-        if isinstance(t, Leaf):
-            return [1] if t.active else []
-        half = t.left.length
-        left_rows = rows_of(t.left)
-        left_rows.extend(g | (g << half) for g in rows_of(t.right))
-        return left_rows
-
-    return BinaryMatrix(tree.length, tuple(rows_of(tree)))
+    rows = []
+    for i in active_leaves(tree):
+        g = 1
+        for d in range(i.bit_length()):
+            if i >> d & 1:
+                g |= g << (1 << d)
+        rows.append(g)
+    return BinaryMatrix(tree.length, tuple(rows))
 
 
 def tree_to_json_dict(tree: CodeTree) -> dict:

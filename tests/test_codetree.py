@@ -109,6 +109,39 @@ def test_generator_matrix_rows_are_independent():
         assert g.rank() == g.k
 
 
+def _rows_by_recursion(tree):
+    """The generator rows by the tree recursion: rows from the left subtree
+    extend as (g | 0), rows from the right subtree as (g | g)."""
+    if isinstance(tree, Leaf):
+        return [1] if tree.active else []
+    half = tree.left.length
+    return _rows_by_recursion(tree.left) + [
+        g | (g << half) for g in _rows_by_recursion(tree.right)
+    ]
+
+
+def test_generator_rows_match_the_tree_recursion():
+    rng = random.Random(271)
+    trees = [rm_tree(r, m) for m in range(7) for r in range(-1, m + 2)]
+    for _ in range(300):
+        m = rng.randint(0, 8)
+        density = rng.choice((0.0, 0.05, 0.5, 0.95, 1.0, rng.random()))
+        trees.append(tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < density]))
+    assert any(tree.dimension == 0 for tree in trees)
+    for tree in trees:
+        assert generator_matrix(tree).rows == tuple(_rows_by_recursion(tree)), tree_to_json_dict(tree)
+
+
+def test_sparse_deep_generator_visits_no_frozen_subtree():
+    # A walk of this length-2^24 tree visits about 2^25 nodes, nearly all of
+    # them frozen; each row is built from its leaf index alone.
+    tree = tree_from_active_set(24, [0, 5, (1 << 24) - 1])
+    started = time.perf_counter()
+    rows = generator_matrix(tree).rows
+    assert time.perf_counter() - started < 0.5
+    assert rows == (1, 0b110011, (1 << (1 << 24)) - 1)
+
+
 def test_dimension_and_length_examples():
     t = rm_tree(1, 3)
     assert (t.dimension, t.length) == (4, 8)
@@ -247,6 +280,7 @@ def test_separately_built_deep_trees_compare_in_distinct_nodes():
     assert moved_a != moved_b and not moved_a == moved_b
     assert tree_from_active_set(24, [5, 1 << 23]) == moved_a
     # Equal hashes do not make equal trees: hash(-1) == hash(-2) in CPython.
+    assert hash(Leaf(-1)) == hash(Leaf(-2)) and Leaf(-1) != Leaf(-2)
     assert Branch(Leaf(-1), Leaf(False)) != Branch(Leaf(-2), Leaf(False))
 
 
