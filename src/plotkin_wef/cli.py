@@ -7,8 +7,10 @@ invocations; wall-clock timing therefore goes to stderr.
 Exit codes: 0 success, 2 usage or parse problems, 3 resource budget exceeded.
 The default size guard (4096 coordinates) can be overridden per invocation
 with --max-length or globally with the PLOTKIN_WEF_MAX_LENGTH environment
-variable.  combine, oracle and bound check the length n that each input file
-declares before they build its spectrum or matrix.
+variable; a guard below 1, which no length could meet, is a usage error
+(exit 2), refused before any input is read.  combine, oracle and bound check
+the length n that each input file declares before they build its spectrum
+or matrix.
 
 Each command is a function from its parsed arguments to one JSON record,
 and main renders json, csv and poly from that record alone: the JSON text
@@ -425,6 +427,8 @@ def _main(argv) -> int:
     try:
         if args.max_length is None:
             args.max_length = _max_length_default()
+        if args.max_length < 1:
+            raise ValueError(f"the length guard must be at least 1, got {args.max_length}")
         record = args.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

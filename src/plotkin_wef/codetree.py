@@ -13,9 +13,14 @@ visits indices in increasing order.
 Trees are immutable values whose identity is cheap: every node computes its
 hash, length and dimension once, at construction, from its children's, and
 ``rm_tree`` and ``tree_from_active_set`` build each distinct subtree once
-and share it, so the per-call memo of ``ensemble_wef_int`` finds a repeated
-subtree by identity.  That recursion carries every spectrum as
-``(den, nums)`` (see plotkin.py); ``ensemble_wef`` is its Fraction view.
+and share it.  The uniform subtrees, all leaves frozen or all active, come
+from the one ``rm_tree`` cache, so they are shared across calls too.
+
+One memoised fold walks a tree leaves-to-root and evaluates each distinct
+subtree once per call, finding a shared subtree by identity; it computes
+both ``ensemble_wef_int``, which carries every spectrum as ``(den, nums)``
+(see plotkin.py) and of which ``ensemble_wef`` is the Fraction view, and
+``dual_tree``.
 """
 
 from __future__ import annotations
@@ -120,7 +125,9 @@ def tree_from_active_set(m: int, active) -> CodeTree:
     """Depth-m tree whose leaf i is active iff i is in ``active``.
 
     Builds O(|active| * m) nodes: every index range without an active leaf
-    is the one all-frozen subtree of its depth.
+    is the all-frozen subtree of its depth, and every range of active leaves
+    only the all-active one; both come from the ``rm_tree`` cache, so trees
+    from separate calls share them with each other and with ``rm_tree``.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -136,25 +143,20 @@ def tree_from_active_set(m: int, active) -> CodeTree:
     # object and the (left, right) key hashes and compares in O(1).
     interned: dict[tuple[CodeTree, CodeTree], Branch] = {}
 
-    def branch(left: CodeTree, right: CodeTree) -> Branch:
+    def build(depth: int, base: int, i: int, j: int) -> CodeTree:
+        # order[i:j] are the active leaves in base..base + 2^depth - 1; a
+        # range with none or all of them is the rm cache's uniform subtree.
+        if i == j:
+            return _rm_tree(-1, depth)
+        if j - i == 1 << depth:
+            return _rm_tree(depth, depth)
+        mid = base + (1 << (depth - 1))
+        cut = bisect_left(order, mid, i, j)
+        left, right = build(depth - 1, base, i, cut), build(depth - 1, mid, cut, j)
         node = interned.get((left, right))
         if node is None:
             node = interned[left, right] = Branch(left, right)
         return node
-
-    active_leaf, frozen = Leaf(True), [Leaf(False)]
-    for _ in range(m):
-        frozen.append(branch(frozen[-1], frozen[-1]))
-
-    def build(depth: int, base: int, i: int, j: int) -> CodeTree:
-        # order[i:j] are the active leaves in base..base + 2^depth - 1.
-        if i == j:
-            return frozen[depth]
-        if depth == 0:
-            return active_leaf
-        mid = base + (1 << (depth - 1))
-        cut = bisect_left(order, mid, i, j)
-        return branch(build(depth - 1, base, i, cut), build(depth - 1, mid, cut, j))
 
     return build(m, 0, 0, len(order))
 
@@ -177,8 +179,23 @@ def active_leaves(tree: CodeTree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def depth_of(tree: CodeTree) -> int:
-    return tree.length.bit_length() - 1
+def _fold(tree: CodeTree, leaf, branch):
+    """``leaf(node)`` at a leaf and ``branch(node, left value, right value)``
+    at a branch, leaves-to-root, evaluated once per distinct subtree: the
+    memo is keyed by value, and an interned subtree is found by identity."""
+    memo = {}
+
+    def fold(t: CodeTree):
+        got = memo.get(t)
+        if got is None:
+            if isinstance(t, Leaf):
+                got = leaf(t)
+            else:
+                got = branch(t, fold(t.left), fold(t.right))
+            memo[t] = got
+        return got
+
+    return fold(tree)
 
 
 def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
@@ -189,25 +206,17 @@ def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
     Every node keeps only its weights <= max_weight, which is all its parent
     needs (plotkin.combine_int), so a small ``max_weight`` costs O(W^2)
     big-int products plus O(W^2) additions per distinct node, whatever the
-    length.  Structurally equal subtrees are evaluated once per call; an
-    interned subtree is found by identity.
+    length.  The one memoised fold evaluates each distinct subtree once per
+    call, and finds a shared subtree, such as an ``rm_tree`` uniform one, by
+    identity.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    cache: dict[CodeTree, tuple[int, list[int]]] = {}
-
-    def wef(t: CodeTree) -> tuple[int, list[int]]:
-        got = cache.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Leaf):
-            out = (1, [1, int(t.active)][: max_weight + 1])
-        else:
-            out = combine_int(t.left.length, wef(t.left), wef(t.right), max_weight)
-        cache[t] = out
-        return out
-
-    return wef(tree)
+    return _fold(
+        tree,
+        lambda t: (1, [1, int(t.active)][: max_weight + 1]),
+        lambda t, u, v: combine_int(t.left.length, u, v, max_weight),
+    )
 
 
 def ensemble_wef(tree: CodeTree) -> WeightEnumerator:
@@ -229,21 +238,10 @@ def dual_tree(tree: CodeTree) -> CodeTree:
     with n = tree.length, oracle.macwilliams(ensemble_wef_int(tree, n)) ==
     ensemble_wef_int(dual_tree(tree), n); dual_tree(rm_tree(r, m)) ==
     rm_tree(m-r-1, m).
-    Shared subtrees stay shared.
+    The one memoised fold flips each distinct subtree once, so shared
+    subtrees stay shared: a sparse depth-40 tree's dual has as few nodes.
     """
-    dual: dict[CodeTree, CodeTree] = {}
-
-    def flip(t: CodeTree) -> CodeTree:
-        got = dual.get(t)
-        if got is None:
-            if isinstance(t, Leaf):
-                got = Leaf(not t.active)
-            else:
-                got = Branch(flip(t.right), flip(t.left))
-            dual[t] = got
-        return got
-
-    return flip(tree)
+    return _fold(tree, lambda t: Leaf(not t.active), lambda t, left, right: Branch(right, left))
 
 
 def generator_matrix(tree: CodeTree) -> BinaryMatrix:
@@ -272,7 +270,7 @@ def generator_matrix(tree: CodeTree) -> BinaryMatrix:
 
 def tree_to_json_dict(tree: CodeTree) -> dict:
     """Canonical JSON form: depth plus the sorted active-leaf indices."""
-    return {"m": depth_of(tree), "active": list(active_leaves(tree))}
+    return {"m": tree.length.bit_length() - 1, "active": list(active_leaves(tree))}
 
 
 def tree_json_depth(obj) -> int:

@@ -664,6 +664,49 @@ class TestBoundBeyondFloatRange:
         assert "Traceback" not in err
 
 
+class TestLengthGuardBelowOne:
+    """A guard below 1 could refuse every length, so it is a usage error
+    (exit 2), whether it comes from --max-length or the environment."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        spectrum = write_json(tmp_path / "s.json", {"n": 4, "coeffs": {"0": "1", "4": "1"}})
+        g = write_json(tmp_path / "g.json", {"n": 3, "rows": ["110"]})
+        tree = write_json(tmp_path / "t.json", {"m": 2, "active": [3]})
+        return {
+            "rm": ("rm", "1", "3"),
+            "tree": ("tree", tree),
+            "combine": ("combine", spectrum, spectrum),
+            "oracle": ("oracle", g, g),
+            "bound": ("bound", spectrum, "--rate", "1/2", "--ebn0", "3", "--truncate", "4"),
+        }
+
+    @pytest.mark.parametrize("command", ["rm", "tree", "combine", "oracle", "bound"])
+    @pytest.mark.parametrize(
+        "source, value", [("flag", "0"), ("flag", "-5"), ("env", "0"), ("env", "-1")]
+    )
+    def test_exit_2(self, capsys, monkeypatch, commands, command, source, value):
+        argv = commands[command]
+        if source == "flag":
+            argv += ("--max-length", value)
+        else:
+            monkeypatch.setenv("PLOTKIN_WEF_MAX_LENGTH", value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: the length guard must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("command", ["tree", "combine", "oracle", "bound"])
+    def test_refused_before_any_input_is_read(self, capsys, monkeypatch, commands, command):
+        def refuse(path):
+            raise AssertionError(f"{path} read before the guard was checked")
+
+        monkeypatch.setattr(cli, "_load_json", refuse)
+        assert run(capsys, *commands[command], "--max-length", "0")[0] == 2
+
+    def test_guard_of_1_admits_length_1(self, capsys):
+        assert run(capsys, "rm", "0", "0", "--max-length", "1")[:2] == (0, "1 + x\n")
+
+
 class TestTree:
     def test_rm_and_active_forms_agree_byte_for_byte(self, capsys, tmp_path):
         rm_file = write_json(tmp_path / "rm.json", {"rm": {"r": 1, "m": 3}})

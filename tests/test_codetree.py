@@ -12,6 +12,7 @@ from plotkin_wef import (
     Leaf,
     WeightEnumerator,
     active_leaves,
+    dual_tree,
     ensemble_wef,
     exact_wef_bruteforce,
     generator_matrix,
@@ -234,18 +235,70 @@ def test_sparse_active_set_builds_few_nodes():
     tree = tree_from_active_set(m, reversed(active))
     assert (tree.length, tree.dimension) == (1 << m, 3)
     assert active_leaves(tree) == active
-    distinct = {}
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) not in distinct:
-            distinct[id(node)] = node
-            if isinstance(node, Branch):
-                stack += [node.left, node.right]
-    assert len(distinct) <= (len(active) + 1) * (m + 1)
+    assert len(_distinct_nodes(tree)) <= (len(active) + 1) * (m + 1)
     assert tree.left.right is tree.right.left
     assert (tree.right.left.length, tree.right.left.dimension) == (1 << (m - 2), 0)
     assert tree_from_active_set(3, range(8)) == rm_tree(3, 3)
+
+
+def _distinct_nodes(tree):
+    seen = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, Branch):
+                stack += [node.left, node.right]
+    return seen.values()
+
+
+def test_uniform_subtrees_come_from_the_rm_cache():
+    # Ranges with no active leaf, or with only active ones, are taken from
+    # rm_tree, so separately built trees share them with it.
+    for m in range(41):
+        assert tree_from_active_set(m, []) is rm_tree(-1, m)
+    assert tree_from_active_set(3, range(8)) is rm_tree(3, 3)
+    assert tree_from_active_set(0, [0]) is rm_tree(0, 0)
+    sparse = tree_from_active_set(40, [0, 5, (1 << 40) - 1])
+    assert sparse.left.right is rm_tree(-1, 38)
+    assert tree_from_active_set(4, [0, 1, 2, 3, 9]).left.left is rm_tree(2, 2)
+
+
+def test_sparse_deep_dual_flips_each_distinct_node_once():
+    """Without its memo the dual of a depth-40 tree would visit about 2^40
+    nodes; with it, one per distinct node of the input."""
+    m, active = 40, (0, 5, (1 << 40) - 1)
+    tree = tree_from_active_set(m, active)
+    started = time.perf_counter()
+    dual = dual_tree(tree)
+    assert time.perf_counter() - started < 0.5
+    assert len(_distinct_nodes(dual)) <= (len(active) + 1) * (m + 1)
+    assert (dual.length, dual.dimension) == (1 << m, (1 << m) - 3)
+    assert dual_tree(dual) == tree
+
+
+def test_ensemble_wef_int_combines_each_distinct_branch_once(monkeypatch):
+    calls = []
+    original = codetree.combine_int
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(codetree, "combine_int", counting)
+    trees = [rm_tree(r, m) for m in range(9) for r in range(-1, m + 1)]
+    rng = random.Random(28)
+    for density in (0.2, 0.5, 0.8):
+        for m in range(9):
+            trees.append(tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < density]))
+    for tree in trees:
+        # Distinct by value: a set of nodes dedups equal subtrees however built.
+        branches = {node for node in _distinct_nodes(tree) if isinstance(node, Branch)}
+        for max_weight in (2, tree.length):
+            calls.clear()
+            codetree.ensemble_wef_int(tree, max_weight)
+            assert len(calls) == len(branches), (tree, max_weight)
 
 
 def test_separately_built_trees_compare_and_hash_equal():
@@ -266,9 +319,10 @@ def test_separately_built_trees_compare_and_hash_equal():
 
 
 def test_separately_built_deep_trees_compare_in_distinct_nodes():
-    # Each tree shares its equal subtrees but none with the other, so a
+    # Each dual shares its equal subtrees but none with the other, so a
     # comparison that walks every root-to-leaf path takes 2^24 steps.
-    a, b = tree_from_active_set(24, []), tree_from_active_set(24, [])
+    # (tree_from_active_set(24, []) is the one cached rm_tree(-1, 24).)
+    a, b = dual_tree(rm_tree(24, 24)), dual_tree(rm_tree(24, 24))
     assert a is not b
     started = time.perf_counter()
     assert a == b
