@@ -4,6 +4,12 @@ Codewords are bit-packed integers: bit j (``1 << j``) is coordinate j, which
 corresponds to the leftmost character of the JSON bit-string form.  Row spaces
 are walked in Gray-code order so each step is one XOR and one popcount.
 
+The two ensemble oracles are one count, ``_permutation_sums``, which adds the
+integer spectrum of {(u + v*perm, v)} for each permutation it is fed.  They
+differ only in the permutations they feed it: ``ensemble_wef_exhaustive`` all
+n! of them, ``ensemble_wef_montecarlo`` seeded draws of
+``uniform_permutation``.
+
 ``macwilliams`` is an oracle of another kind: it checks a whole spectrum
 against the spectrum of the dual ensemble (codetree.dual_tree), at any length.
 It works on the integer form ``(den, nums)``, as ``ensemble_wef_int`` returns
@@ -163,40 +169,60 @@ def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
     return WeightEnumerator(G.n, counts)
 
 
-def _instance_counts(basis_u, basis_v, mapping, counts: list[int]) -> None:
-    """Add the integer spectrum of {(u + v*perm, v)} for the one permutation
-    ``mapping`` into ``counts``, a list of 2n + 1 integers."""
-    for v in _span(basis_v):
-        bias = v.bit_count()
-        for word in _span(basis_u, _permute_bits(v, mapping)):
-            counts[word.bit_count() + bias] += 1
+def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, permutations, max_dimension: int):
+    """Weight by weight, the sum and the sum of squares of the integer
+    spectrum of {(u + v*perm, v)} over the mappings that ``permutations(n)``
+    returns; u ranges over rowspace(G0), v over rowspace(G1).  Two lists of
+    2n + 1 integers.
+
+    The lengths are checked first, then ``permutations(n)`` is called, which
+    may refuse n or its caller's own arguments, then the k0+k1 budget.  The
+    mappings are taken one at a time, so a lazy source draws each just
+    before it is counted.
+    """
+    n = G0.n
+    if G1.n != n:
+        raise ValueError(f"component lengths differ: {n} vs {G1.n}")
+    mappings = permutations(n)
+    if G0.k + G1.k > max_dimension:
+        raise BudgetError(
+            f"k0+k1={G0.k + G1.k} exceeds the codeword budget (max {max_dimension})"
+        )
+    basis_u = G0.row_space_basis()
+    basis_v = G1.row_space_basis()
+    sums = [0] * (2 * n + 1)
+    sums_sq = [0] * (2 * n + 1)
+    for mapping in mappings:
+        counts = [0] * (2 * n + 1)
+        for v in _span(basis_v):
+            # The codeword (u + v*perm, v) as one 2n-bit word: basis_u lives
+            # in the low n bits, v in the high n.
+            for word in _span(basis_u, _permute_bits(v, mapping) | v << n):
+                counts[word.bit_count()] += 1
+        for w, c in enumerate(counts):
+            sums[w] += c
+            sums_sq[w] += c * c
+    return sums, sums_sq
 
 
 def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumerator:
     """Average spectrum of {(u + v*perm, v)} over all n! permutations, exactly.
 
-    u ranges over rowspace(G0), v over rowspace(G1).  Permutations are walked
-    in lexicographic order.  The result carries exact rational coefficients
-    with denominator dividing n!.
+    u ranges over rowspace(G0), v over rowspace(G1).  The one counter,
+    ``_permutation_sums``, is fed every permutation in lexicographic order.
+    The result carries exact rational coefficients with denominator dividing
+    n!.
     """
-    n = G0.n
-    if G1.n != n:
-        raise ValueError(f"component lengths differ: {n} vs {G1.n}")
-    if n > EXHAUSTIVE_MAX_LENGTH:
-        raise BudgetError(
-            f"n={n} exceeds the n! enumeration budget (max {EXHAUSTIVE_MAX_LENGTH})"
-        )
-    if G0.k + G1.k > EXHAUSTIVE_MAX_DIMENSION:
-        raise BudgetError(
-            f"k0+k1={G0.k + G1.k} exceeds the codeword budget"
-            f" (max {EXHAUSTIVE_MAX_DIMENSION})"
-        )
-    basis_u = G0.row_space_basis()
-    basis_v = G1.row_space_basis()
-    totals = [0] * (2 * n + 1)
-    for mapping in itertools.permutations(range(n)):
-        _instance_counts(basis_u, basis_v, mapping, totals)
-    return WeightEnumerator(2 * n, fractions_over(math.factorial(n), totals))
+
+    def permutations(n: int):
+        if n > EXHAUSTIVE_MAX_LENGTH:
+            raise BudgetError(
+                f"n={n} exceeds the n! enumeration budget (max {EXHAUSTIVE_MAX_LENGTH})"
+            )
+        return itertools.permutations(range(n))
+
+    sums, _ = _permutation_sums(G0, G1, permutations, EXHAUSTIVE_MAX_DIMENSION)
+    return WeightEnumerator(2 * G0.n, fractions_over(math.factorial(G0.n), sums))
 
 
 # spectrum: the mean WeightEnumerator; stderrs: a tuple of floats, one per weight.
@@ -208,42 +234,27 @@ def ensemble_wef_montecarlo(
 ) -> MonteCarloEstimate:
     """Mean spectrum over ``samples`` independent uniform permutations.
 
-    Deterministic given ``seed`` (see the module notes on the pinned
-    generator).  Per-weight standard errors are sample-std/sqrt(samples),
-    with 0.0 reported when samples == 1.
+    The one counter, ``_permutation_sums``, is fed ``samples`` draws of
+    ``uniform_permutation`` from ``random.Random(seed)``, each drawn just
+    before it is counted, so the result is deterministic given ``seed`` (see
+    the module notes on the pinned generator).  Per-weight standard errors
+    are sample-std/sqrt(samples), with 0.0 reported when samples == 1.
     """
-    n = G0.n
-    if G1.n != n:
-        raise ValueError(f"component lengths differ: {n} vs {G1.n}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if G0.k + G1.k > MONTE_CARLO_MAX_DIMENSION:
-        raise BudgetError(
-            f"k0+k1={G0.k + G1.k} exceeds the codeword budget"
-            f" (max {MONTE_CARLO_MAX_DIMENSION})"
-        )
-    basis_u = G0.row_space_basis()
-    basis_v = G1.row_space_basis()
-    rng = random.Random(seed)
-    sums = [0] * (2 * n + 1)
-    sums_sq = [0] * (2 * n + 1)
-    for _ in range(samples):
-        counts = [0] * (2 * n + 1)
-        _instance_counts(basis_u, basis_v, uniform_permutation(n, rng), counts)
-        for w, c in enumerate(counts):
-            if c:
-                sums[w] += c
-                sums_sq[w] += c * c
+
+    def draws(n: int):
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        rng = random.Random(seed)
+        return (uniform_permutation(n, rng) for _ in range(samples))
+
+    sums, sums_sq = _permutation_sums(G0, G1, draws, MONTE_CARLO_MAX_DIMENSION)
+    # int / int rounds the exact quotient once, as float(Fraction) does.  With
+    # one sample every numerator samples * sq - s * s is 0, so the scale's
+    # factor samples - 1 is taken as 1 there.
+    scale = samples * samples * max(samples - 1, 1)
+    stderrs = tuple(math.sqrt((samples * sq - s * s) / scale) for s, sq in zip(sums, sums_sq))
     means = fractions_over(samples, sums)
-    if samples == 1:
-        stderrs = (0.0,) * (2 * n + 1)
-    else:
-        # int / int rounds the exact quotient once, as float(Fraction) does.
-        scale = samples * samples * (samples - 1)
-        stderrs = tuple(
-            math.sqrt((samples * sq - s * s) / scale) for s, sq in zip(sums, sums_sq)
-        )
-    return MonteCarloEstimate(WeightEnumerator(2 * n, means), stderrs)
+    return MonteCarloEstimate(WeightEnumerator(2 * G0.n, means), stderrs)
 
 
 def _taylor_shift(coeffs: list[int], step) -> list[int]:

@@ -381,6 +381,23 @@ class TestOracle:
         g1 = write_json(tmp_path / "g1.json", {"n": 8, "rows": []})
         assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive")[0] == 3
 
+    @pytest.mark.parametrize(
+        ("n1", "k", "code", "message"),
+        [
+            (9, 0, 2, "error: component lengths differ: 8 vs 9\n"),
+            (8, 9, 3, "error: n=8 exceeds the n! enumeration budget (max 7)\n"),
+        ],
+    )
+    def test_the_length_check_comes_before_the_budgets(
+        self, capsys, tmp_path, n1, k, code, message
+    ):
+        # Lengths 8 and 9 differ and exceed the n! budget: the length check
+        # fails first.  With k0+k1 = 18 over the codeword budget too, n = 8
+        # fails the n! budget.
+        g0 = write_json(tmp_path / "g0.json", {"n": 8, "rows": ["10000000"] * k})
+        g1 = write_json(tmp_path / "g1.json", {"n": n1, "rows": ["1" + "0" * (n1 - 1)] * k})
+        assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive") == (code, "", message)
+
     @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
     def test_declared_length_guard_runs_before_building(
         self, capsys, tmp_path, monkeypatch, mode

@@ -22,6 +22,11 @@ from plotkin_wef import (
     tree_to_json_dict,
 )
 
+# An assertion on a tree deeper than 16 asserts a local that holds no tree:
+# pytest renders every object that a failing assert expression names, and a
+# tree's repr writes all 2^m leaves, so the report of a failure at depth 24 or
+# 40 would take minutes or never finish.
+
 
 def test_rm_tree_examples():
     t = rm_tree(1, 3)
@@ -233,11 +238,15 @@ def test_sparse_active_set_builds_few_nodes():
     m = 40
     active = (0, 5, (1 << m) - 1)
     tree = tree_from_active_set(m, reversed(active))
-    assert (tree.length, tree.dimension) == (1 << m, 3)
-    assert active_leaves(tree) == active
-    assert len(_distinct_nodes(tree)) <= (len(active) + 1) * (m + 1)
-    assert tree.left.right is tree.right.left
-    assert (tree.right.left.length, tree.right.left.dimension) == (1 << (m - 2), 0)
+    shape, leaves = (tree.length, tree.dimension), active_leaves(tree)
+    assert shape == (1 << m, 3)
+    assert leaves == active
+    distinct = len(_distinct_nodes(tree))
+    assert distinct <= (len(active) + 1) * (m + 1)
+    shared = tree.left.right is tree.right.left
+    assert shared
+    frozen_shape = (tree.right.left.length, tree.right.left.dimension)
+    assert frozen_shape == (1 << (m - 2), 0)
     assert tree_from_active_set(3, range(8)) == rm_tree(3, 3)
 
 
@@ -257,11 +266,13 @@ def test_uniform_subtrees_come_from_the_rm_cache():
     # Ranges with no active leaf, or with only active ones, are taken from
     # rm_tree, so separately built trees share them with it.
     for m in range(41):
-        assert tree_from_active_set(m, []) is rm_tree(-1, m)
+        cached = tree_from_active_set(m, []) is rm_tree(-1, m)
+        assert cached, m
     assert tree_from_active_set(3, range(8)) is rm_tree(3, 3)
     assert tree_from_active_set(0, [0]) is rm_tree(0, 0)
     sparse = tree_from_active_set(40, [0, 5, (1 << 40) - 1])
-    assert sparse.left.right is rm_tree(-1, 38)
+    cached = sparse.left.right is rm_tree(-1, 38)
+    assert cached
     assert tree_from_active_set(4, [0, 1, 2, 3, 9]).left.left is rm_tree(2, 2)
 
 
@@ -273,9 +284,12 @@ def test_sparse_deep_dual_flips_each_distinct_node_once():
     started = time.perf_counter()
     dual = dual_tree(tree)
     assert time.perf_counter() - started < 0.5
-    assert len(_distinct_nodes(dual)) <= (len(active) + 1) * (m + 1)
-    assert (dual.length, dual.dimension) == (1 << m, (1 << m) - 3)
-    assert dual_tree(dual) == tree
+    distinct = len(_distinct_nodes(dual))
+    assert distinct <= (len(active) + 1) * (m + 1)
+    shape = (dual.length, dual.dimension)
+    assert shape == (1 << m, (1 << m) - 3)
+    round_trip = dual_tree(dual) == tree
+    assert round_trip
 
 
 def test_ensemble_wef_int_combines_each_distinct_branch_once(monkeypatch):
@@ -323,16 +337,22 @@ def test_separately_built_deep_trees_compare_in_distinct_nodes():
     # comparison that walks every root-to-leaf path takes 2^24 steps.
     # (tree_from_active_set(24, []) is the one cached rm_tree(-1, 24).)
     a, b = dual_tree(rm_tree(24, 24)), dual_tree(rm_tree(24, 24))
-    assert a is not b
+    separate = a is not b
+    assert separate
     started = time.perf_counter()
-    assert a == b
+    equal = a == b
+    assert equal
     assert time.perf_counter() - started < 0.5
-    assert hash(a) == hash(b)
+    equal_hashes = hash(a) == hash(b)
+    assert equal_hashes
     moved_a = tree_from_active_set(24, [5, 1 << 23])
     moved_b = tree_from_active_set(24, [5, (1 << 23) + 1])
-    assert moved_a.dimension == moved_b.dimension
-    assert moved_a != moved_b and not moved_a == moved_b
-    assert tree_from_active_set(24, [5, 1 << 23]) == moved_a
+    equal_dimensions = moved_a.dimension == moved_b.dimension
+    assert equal_dimensions
+    unequal = moved_a != moved_b and not moved_a == moved_b
+    assert unequal
+    rebuilt_equal = tree_from_active_set(24, [5, 1 << 23]) == moved_a
+    assert rebuilt_equal
     # Equal hashes do not make equal trees: hash(-1) == hash(-2) in CPython.
     assert hash(Leaf(-1)) == hash(Leaf(-2)) and Leaf(-1) != Leaf(-2)
     assert Branch(Leaf(-1), Leaf(False)) != Branch(Leaf(-2), Leaf(False))

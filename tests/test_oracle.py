@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import warnings
 from collections import Counter
@@ -19,6 +21,7 @@ from plotkin_wef import (
     exact_wef_bruteforce,
     uniform_permutation,
 )
+from plotkin_wef import oracle
 from plotkin_wef.oracle import _permute_bits, _span
 
 G_REP3 = BinaryMatrix.from_strings(["111"])
@@ -264,6 +267,69 @@ class TestMonteCarlo:
             ensemble_wef_montecarlo(
                 BinaryMatrix(5, (1,) * 13), BinaryMatrix(5, (1,) * 12), 1, 1
             )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fed_every_permutation_equals_the_exhaustive_oracle(self, monkeypatch, seed):
+        # Both oracles are one count over different permutation sources: fed
+        # the n! permutations as its draws, Monte Carlo gives the exhaustive
+        # spectrum exactly.
+        rng = random.Random(seed)
+        n = seed % 5 + 1
+        G0 = random_matrix(rng, n, rng.randint(1, 3))
+        G1 = random_matrix(rng, n, rng.randint(1, 3))
+        if seed % 3 == 0:
+            G0 = BinaryMatrix(n, ())
+        elif seed % 3 == 1:
+            G1 = BinaryMatrix(n, G1.rows + (G1.rows[0],))
+            assert G1.rank() < G1.k
+        mappings = itertools.permutations(range(n))
+        monkeypatch.setattr(oracle, "uniform_permutation", lambda _n, _rng: next(mappings))
+        estimate = ensemble_wef_montecarlo(G0, G1, samples=math.factorial(n), seed=seed)
+        assert next(mappings, None) is None
+        assert estimate.spectrum == ensemble_wef_exhaustive(G0, G1)
+
+
+def _ones(n, k):
+    return BinaryMatrix(n, (1,) * k)
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "message"),
+    [
+        (
+            lambda: ensemble_wef_exhaustive(_ones(8, 0), _ones(9, 0)),
+            ValueError,
+            "component lengths differ: 8 vs 9",
+        ),
+        (
+            lambda: ensemble_wef_exhaustive(_ones(8, 9), _ones(8, 9)),
+            BudgetError,
+            "n=8 exceeds the n! enumeration budget (max 7)",
+        ),
+        (
+            lambda: ensemble_wef_exhaustive(_ones(3, 9), _ones(3, 9)),
+            BudgetError,
+            "k0+k1=18 exceeds the codeword budget (max 16)",
+        ),
+        (
+            lambda: ensemble_wef_montecarlo(_ones(8, 13), _ones(9, 13), 0, 1),
+            ValueError,
+            "component lengths differ: 8 vs 9",
+        ),
+        (
+            lambda: ensemble_wef_montecarlo(_ones(5, 13), _ones(5, 13), 0, 1),
+            ValueError,
+            "samples must be >= 1, got 0",
+        ),
+    ],
+)
+def test_the_checks_fail_in_order(call, error, message):
+    # The lengths first, then each oracle's own check (n <= 7, samples >= 1),
+    # then the k0+k1 budget.
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.slow
