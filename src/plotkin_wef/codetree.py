@@ -17,10 +17,12 @@ and share it.  The uniform subtrees, all leaves frozen or all active, come
 from the one ``rm_tree`` cache, so they are shared across calls too.
 
 One memoised fold walks a tree leaves-to-root and evaluates each distinct
-subtree once per call, finding a shared subtree by identity; it computes
-both ``ensemble_wef_int``, which carries every spectrum as ``(den, nums)``
-(see plotkin.py) and of which ``ensemble_wef`` is the Fraction view, and
-``dual_tree``.
+subtree once per call, finding a shared subtree by identity, so each of its
+values costs one evaluation per distinct subtree.  It computes all four
+per-tree values: ``ensemble_wef_int``, which carries every spectrum as
+``(den, nums)`` (see plotkin.py) and of which ``ensemble_wef`` is the
+Fraction view, ``dual_tree``, ``active_leaves`` and the rows of
+``generator_matrix``.
 """
 
 from __future__ import annotations
@@ -162,27 +164,25 @@ def tree_from_active_set(m: int, active) -> CodeTree:
 
 
 def active_leaves(tree: CodeTree) -> tuple[int, ...]:
-    """Indices of the active leaves, in increasing order; a subtree of
-    dimension 0 is skipped whole."""
-    out: list[int] = []
+    """Indices of the active leaves, in increasing order.
 
-    def walk(t: CodeTree, base: int) -> None:
-        if not t.dimension:
-            return
-        if isinstance(t, Leaf):
-            out.append(base)
-            return
-        walk(t.left, base)
-        walk(t.right, base + t.left.length)
-
-    walk(tree, 0)
-    return tuple(out)
+    One call of the memoised fold: a leaf gives ``(0,)`` if it is active and
+    ``()`` if not, a branch its left tuple and then its right one shifted by
+    the left's length, so each distinct subtree costs one tuple.
+    """
+    return _fold(
+        tree,
+        lambda t: (0,) if t.active else (),
+        lambda t, left, right: (*left, *[i + t.left.length for i in right]),
+    )
 
 
 def _fold(tree: CodeTree, leaf, branch):
     """``leaf(node)`` at a leaf and ``branch(node, left value, right value)``
     at a branch, leaves-to-root, evaluated once per distinct subtree: the
-    memo is keyed by value, and an interned subtree is found by identity."""
+    memo is keyed by value, and an interned subtree is found by identity.
+    The memo is emptied before returning, so only the root's value outlives
+    the call."""
     memo = {}
 
     def fold(t: CodeTree):
@@ -195,7 +195,12 @@ def _fold(tree: CodeTree, leaf, branch):
             memo[t] = got
         return got
 
-    return fold(tree)
+    try:
+        return fold(tree)
+    finally:
+        # fold closes over itself, a cycle that would keep every memoised
+        # value alive until the cyclic collector runs.
+        memo.clear()
 
 
 def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:
@@ -247,25 +252,24 @@ def dual_tree(tree: CodeTree) -> CodeTree:
 def generator_matrix(tree: CodeTree) -> BinaryMatrix:
     """Generator of the identity-permutation instance of the tree's code.
 
-    Each active leaf contributes one row, in leaf-index order: leaf i's row
-    has a 1 at every position p whose bits are a subset of i's bits, which
-    is what extending left-subtree rows as (g | 0) and right-subtree rows as
-    (g | g) builds.  The rows cost O(|active| * m) big-int operations, with
-    no visit to a frozen subtree.  They are linearly independent, so
-    k = dimension(tree).
+    Each active leaf contributes one row, in leaf-index order.  One call of
+    the memoised fold builds them as the (u + v, v) construction does: an
+    active leaf gives the row ``1``, and a branch keeps its left rows as
+    (g | 0) and repeats each right row in both halves, (g | g).  So leaf i's
+    row has a 1 at every position p whose bits are a subset of i's bits.
+    Each distinct subtree costs one tuple of rows.  The rows are linearly
+    independent, so k = dimension(tree).
     """
     # Imported here, so that rm and tree load oracle only for
     # --emit-generator.
     from .oracle import BinaryMatrix
 
-    rows = []
-    for i in active_leaves(tree):
-        g = 1
-        for d in range(i.bit_length()):
-            if i >> d & 1:
-                g |= g << (1 << d)
-        rows.append(g)
-    return BinaryMatrix(tree.length, tuple(rows))
+    rows = _fold(
+        tree,
+        lambda t: (1,) if t.active else (),
+        lambda t, left, right: (*left, *[g | g << t.left.length for g in right]),
+    )
+    return BinaryMatrix(tree.length, rows)
 
 
 def tree_to_json_dict(tree: CodeTree) -> dict:

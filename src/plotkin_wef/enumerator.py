@@ -195,23 +195,18 @@ def _reduce_groups(groups: dict) -> dict:
     each numerator p, G = gcd(q, prod r mod q) equals gcd(q, prod p), and
     every gcd(p, q) divides G, which divides q, so gcd(p, q) = gcd(r, G).
     G = 1, the usual case, leaves every text in lowest terms; otherwise
-    each gcd is taken with G, not q.  A numerator r = 0 makes G = q.  A
-    group of one text takes the plain gcd(p, q) as its G.
+    each gcd is taken with G, not q.  A numerator r = 0 makes G = q, and a
+    group of one text gets G = gcd(q, p mod q) = gcd(p, q).
     """
     reduced = {}
     for den, texts in groups.items():
         q = int(den)
         ps = [*map(int, texts.values())]
-        if len(ps) == 1:
-            # gcd(p, G) = G, so p serves as its own residue.
-            rs = ps
-            g = math.gcd(ps[0], q)
-        else:
-            rs = [p % q for p in ps]
-            prod = 1
-            for r in rs:
-                prod = prod * r % q
-            g = math.gcd(q, prod)
+        rs = [p % q for p in ps]
+        prod = 1
+        for r in rs:
+            prod = prod * r % q
+        g = math.gcd(q, prod)
         padded = den.startswith(b"0")
         for (text, num), p, r in zip(texts.items(), ps, rs):
             gcd = 1 if g == 1 else math.gcd(r, g)
@@ -245,11 +240,11 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     distinct one under its denominator text, and the texts of each
     denominator are reduced together after the pass (``_reduce_groups``).
     So a "p/q" text costs one int() however often it repeats, and each
-    denominator one int() and one gcd with q, with a batch of products
-    mod q when it holds more than one text; a text needs a gcd of its own
-    only when that batch's gcd is not 1.  Every other value is converted
-    where it stands, once per key, or once per distinct string when the
-    spectrum is palindromic.
+    denominator one int(), a batch of products mod q and one gcd with q,
+    whether it holds one text or many; a text needs a gcd of its own only
+    when that batch's gcd is not 1.  Every other value is converted where
+    it stands, once per key, or once per distinct string when the spectrum
+    is palindromic.  Each ASCII text is encoded to bytes once per key.
 
     With ``max_weight`` W, only the coefficients 0..W are read: nums[w] is 0
     for w > W and ``den`` is the lcm over the weights up to W.  Every value
@@ -292,11 +287,11 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 raise ValueError(f"coefficient of x^{w} is a float; exact values only")
             terms[w] = _exact_term(value)
             continue
-        # The bytes of an ASCII text, encoded once: above W before the
-        # palindrome lookup, up to W after it.  bytes.isdigit accepts
-        # exactly 0-9, and is several times faster than str.isdigit.
-        data = value.encode() if w > top and value.isascii() else None
-        if data is not None and data.isdigit():
+        # The bytes of an ASCII text, encoded once, before the palindrome
+        # lookup.  bytes.isdigit accepts exactly 0-9, and is several times
+        # faster than str.isdigit.
+        data = value.encode() if value.isascii() else None
+        if w > top and data is not None and data.isdigit():
             # Echoed only: 1 stands for any positive numerator.  A text
             # longer than the limit raises here as it does below W.
             if limit and len(value) > limit:
@@ -310,8 +305,6 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 terms[w] = term
                 continue
         term = None
-        if w <= top and value.isascii():
-            data = value.encode()
         if data is not None:
             num, slash, den = data.partition(b"/")
             if not slash:

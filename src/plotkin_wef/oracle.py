@@ -38,6 +38,8 @@ BRUTE_FORCE_MAX_DIMENSION = 24
 EXHAUSTIVE_MAX_LENGTH = 7
 EXHAUSTIVE_MAX_DIMENSION = 16
 MONTE_CARLO_MAX_DIMENSION = 24
+# Permutations times codewords: the largest run the exhaustive oracle takes.
+MAX_CODEWORD_COUNTS = math.factorial(EXHAUSTIVE_MAX_LENGTH) << EXHAUSTIVE_MAX_DIMENSION
 
 
 class BinaryMatrix(Value):
@@ -172,21 +174,26 @@ def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
 def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, permutations, max_dimension: int):
     """Weight by weight, the sum and the sum of squares of the integer
     spectrum of {(u + v*perm, v)} over the mappings that ``permutations(n)``
-    returns; u ranges over rowspace(G0), v over rowspace(G1).  Two lists of
-    2n + 1 integers.
+    returns, as ``(count, mappings)``; u ranges over rowspace(G0), v over
+    rowspace(G1).  Two lists of 2n + 1 integers.
 
     The lengths are checked first, then ``permutations(n)`` is called, which
-    may refuse n or its caller's own arguments, then the k0+k1 budget.  The
-    mappings are taken one at a time, so a lazy source draws each just
-    before it is counted.
+    may refuse n or its caller's own arguments, then the k0+k1 budget, then
+    the budget of count * 2^(k0+k1) codeword counts, MAX_CODEWORD_COUNTS.
+    The mappings are taken one at a time, so a lazy source draws each just
+    before it is counted, and none before the checks.
     """
     n = G0.n
     if G1.n != n:
         raise ValueError(f"component lengths differ: {n} vs {G1.n}")
-    mappings = permutations(n)
-    if G0.k + G1.k > max_dimension:
+    count, mappings = permutations(n)
+    k = G0.k + G1.k
+    if k > max_dimension:
+        raise BudgetError(f"k0+k1={k} exceeds the codeword budget (max {max_dimension})")
+    if count << k > MAX_CODEWORD_COUNTS:
         raise BudgetError(
-            f"k0+k1={G0.k + G1.k} exceeds the codeword budget (max {max_dimension})"
+            f"{count} permutations x 2^{k} codewords exceed the count budget"
+            f" (max {MAX_CODEWORD_COUNTS})"
         )
     basis_u = G0.row_space_basis()
     basis_v = G1.row_space_basis()
@@ -219,7 +226,7 @@ def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumera
             raise BudgetError(
                 f"n={n} exceeds the n! enumeration budget (max {EXHAUSTIVE_MAX_LENGTH})"
             )
-        return itertools.permutations(range(n))
+        return math.factorial(n), itertools.permutations(range(n))
 
     sums, _ = _permutation_sums(G0, G1, permutations, EXHAUSTIVE_MAX_DIMENSION)
     return WeightEnumerator(2 * G0.n, fractions_over(math.factorial(G0.n), sums))
@@ -239,13 +246,15 @@ def ensemble_wef_montecarlo(
     before it is counted, so the result is deterministic given ``seed`` (see
     the module notes on the pinned generator).  Per-weight standard errors
     are sample-std/sqrt(samples), with 0.0 reported when samples == 1.
+    A run of samples * 2^(k0+k1) codewords above MAX_CODEWORD_COUNTS, the
+    exhaustive oracle's largest, is refused before the first draw.
     """
 
     def draws(n: int):
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         rng = random.Random(seed)
-        return (uniform_permutation(n, rng) for _ in range(samples))
+        return samples, (uniform_permutation(n, rng) for _ in range(samples))
 
     sums, sums_sq = _permutation_sums(G0, G1, draws, MONTE_CARLO_MAX_DIMENSION)
     # int / int rounds the exact quotient once, as float(Fraction) does.  With

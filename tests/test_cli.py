@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,26 @@ class TestOracle:
         g0 = write_json(tmp_path / "g0.json", {"n": 8, "rows": ["10000000"] * k})
         g1 = write_json(tmp_path / "g1.json", {"n": n1, "rows": ["1" + "0" * (n1 - 1)] * k})
         assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive") == (code, "", message)
+
+    def test_montecarlo_samples_past_the_count_budget_exit_3(self, capsys, tmp_path):
+        # A billion draws of ranks 6 + 6 at n = 7, about 0.3 ms each, are
+        # refused before the first one.
+        rows = {
+            "g0": ["1000001", "0100011", "0010010", "0001110", "0000101", "1111000"],
+            "g1": ["1100101", "0110011", "1011000", "0101110", "1110001", "0010111"],
+        }
+        g0, g1 = (
+            write_json(tmp_path / f"{name}.json", {"n": 7, "rows": r}) for name, r in rows.items()
+        )
+        argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "1000000000"]
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 5
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: 1000000000 permutations x 2^12 codewords exceed the count budget"
+            " (max 330301440)\n"
+        )
 
     @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
     def test_declared_length_guard_runs_before_building(

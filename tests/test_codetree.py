@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -140,12 +142,77 @@ def test_generator_rows_match_the_tree_recursion():
 
 def test_sparse_deep_generator_visits_no_frozen_subtree():
     # A walk of this length-2^24 tree visits about 2^25 nodes, nearly all of
-    # them frozen; each row is built from its leaf index alone.
+    # them frozen; the fold visits each distinct subtree once, and the frozen
+    # ones are shared, so it never walks a frozen range position by position.
     tree = tree_from_active_set(24, [0, 5, (1 << 24) - 1])
     started = time.perf_counter()
     rows = generator_matrix(tree).rows
     assert time.perf_counter() - started < 0.5
     assert rows == (1, 0b110011, (1 << (1 << 24)) - 1)
+
+
+def _leaf_at(tree, i):
+    """Leaf i of ``tree``, found by the bits of i from the root split down."""
+    for d in range(tree.length.bit_length() - 2, -1, -1):
+        tree = tree.right if i >> d & 1 else tree.left
+    return tree
+
+
+def test_active_leaves_are_the_sorted_active_set():
+    rng = random.Random(1729)
+    for _ in range(200):
+        m = rng.randint(0, 10)
+        density = rng.choice((0.0, 0.01, 0.3, 0.5, 0.9, 1.0, rng.random()))
+        active = [i for i in range(1 << m) if rng.random() < density]
+        # Duplicates and a reversed order name the same set.
+        listed = active[::-1] + rng.sample(active, len(active) // 3)
+        assert active_leaves(tree_from_active_set(m, listed)) == tuple(active), (m, density)
+
+
+def test_equal_halves_built_apart_share_one_memo_entry():
+    # dual_tree(dual_tree(t)) equals t but is another object: the fold finds
+    # its value by equality and must still shift it to the right half.
+    rng = random.Random(2718)
+    for _ in range(60):
+        m = rng.randint(0, 7)
+        density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        t = tree_from_active_set(m, [i for i in range(1 << m) if rng.random() < density])
+        twin = dual_tree(dual_tree(t))
+        assert twin == t and twin is not t
+        tree = Branch(t, twin)
+        positions = tuple(i for i in range(tree.length) if _leaf_at(tree, i).active)
+        assert active_leaves(tree) == positions
+        rows = tuple(
+            sum(1 << p for p in range(tree.length) if p & i == p) for i in positions
+        )
+        assert generator_matrix(tree).rows == rows == tuple(_rows_by_recursion(tree))
+
+
+class _Box:
+    """A fold value that a weak reference can watch."""
+
+
+def test_fold_keeps_only_the_root_value_alive():
+    # The fold's closure refers to itself, a cycle: without the memo emptied
+    # on return, every value would live until the cyclic collector runs.
+    made = []
+
+    def box(*_):
+        value = _Box()
+        made.append(weakref.ref(value))
+        return value
+
+    tree = rm_tree(3, 6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        root = codetree._fold(tree, box, box)
+        alive = [value for value in (ref() for ref in made) if value is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(made) == len(_distinct_nodes(tree))
+    assert len(alive) == 1 and alive[0] is root
 
 
 def test_dimension_and_length_examples():

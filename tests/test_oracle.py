@@ -321,15 +321,39 @@ def _ones(n, k):
             ValueError,
             "samples must be >= 1, got 0",
         ),
+        (
+            lambda: ensemble_wef_montecarlo(_ones(5, 13), _ones(5, 13), 10**9, 1),
+            BudgetError,
+            "k0+k1=26 exceeds the codeword budget (max 24)",
+        ),
+        (
+            lambda: ensemble_wef_montecarlo(_ones(7, 6), _ones(7, 6), 10**9, 1),
+            BudgetError,
+            "1000000000 permutations x 2^12 codewords exceed the count budget (max 330301440)",
+        ),
     ],
 )
 def test_the_checks_fail_in_order(call, error, message):
     # The lengths first, then each oracle's own check (n <= 7, samples >= 1),
-    # then the k0+k1 budget.
+    # then the k0+k1 budget, then the budget of codeword counts.
     with pytest.raises(error) as excinfo:
         call()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+def test_codeword_count_budget_refuses_before_any_draw(monkeypatch):
+    # With a budget of 8 counts, two samples of 2^2 codewords fit and three
+    # do not; the refused call draws no permutation.
+    monkeypatch.setattr(oracle, "MAX_CODEWORD_COUNTS", 8)
+    assert ensemble_wef_montecarlo(G_100, G_110, samples=2, seed=0).spectrum.length == 6
+
+    def refuse(n, rng):
+        raise AssertionError("a permutation was drawn past the budget")
+
+    monkeypatch.setattr(oracle, "uniform_permutation", refuse)
+    with pytest.raises(BudgetError, match=r"^3 permutations x 2\^2 codewords"):
+        ensemble_wef_montecarlo(G_100, G_110, samples=3, seed=0)
 
 
 @pytest.mark.slow
