@@ -23,6 +23,11 @@ per-tree values: ``ensemble_wef_int``, which carries every spectrum as
 ``(den, nums)`` (see plotkin.py) and of which ``ensemble_wef`` is the
 Fraction view, ``dual_tree``, ``active_leaves`` and the rows of
 ``generator_matrix``.
+
+No function here closes over itself: the fold and the builder are
+module-level recursions that take their per-call state (the memo, the
+sorted indices, the intern table) as arguments, so no call leaves a
+reference cycle behind and only its returned value outlives it.
 """
 
 from __future__ import annotations
@@ -130,6 +135,8 @@ def tree_from_active_set(m: int, active) -> CodeTree:
     is the all-frozen subtree of its depth, and every range of active leaves
     only the all-active one; both come from the ``rm_tree`` cache, so trees
     from separate calls share them with each other and with ``rm_tree``.
+    The sorted indices and the intern table are passed down the recursion,
+    never captured, so only the returned tree outlives the call.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -140,27 +147,26 @@ def tree_from_active_set(m: int, active) -> CodeTree:
             raise ValueError(f"leaf index {i!r} outside 0..{limit - 1}")
         active_set.add(i)
     order = sorted(active_set)
+    return _build(order, {}, m, 0, 0, len(order))
 
-    # Children are interned before their parent, so equal subtrees are one
-    # object and the (left, right) key hashes and compares in O(1).
-    interned: dict[tuple[CodeTree, CodeTree], Branch] = {}
 
-    def build(depth: int, base: int, i: int, j: int) -> CodeTree:
-        # order[i:j] are the active leaves in base..base + 2^depth - 1; a
-        # range with none or all of them is the rm cache's uniform subtree.
-        if i == j:
-            return _rm_tree(-1, depth)
-        if j - i == 1 << depth:
-            return _rm_tree(depth, depth)
-        mid = base + (1 << (depth - 1))
-        cut = bisect_left(order, mid, i, j)
-        left, right = build(depth - 1, base, i, cut), build(depth - 1, mid, cut, j)
-        node = interned.get((left, right))
-        if node is None:
-            node = interned[left, right] = Branch(left, right)
-        return node
-
-    return build(m, 0, 0, len(order))
+def _build(order, interned, depth: int, base: int, i: int, j: int) -> CodeTree:
+    # order[i:j] are the active leaves in base..base + 2^depth - 1; a range
+    # with none or all of them is the rm cache's uniform subtree.  Children
+    # are interned before their parent, so equal subtrees are one object and
+    # the (left, right) key hashes and compares in O(1).
+    if i == j:
+        return _rm_tree(-1, depth)
+    if j - i == 1 << depth:
+        return _rm_tree(depth, depth)
+    mid = base + (1 << (depth - 1))
+    cut = bisect_left(order, mid, i, j)
+    left = _build(order, interned, depth - 1, base, i, cut)
+    right = _build(order, interned, depth - 1, mid, cut, j)
+    node = interned.get((left, right))
+    if node is None:
+        node = interned[left, right] = Branch(left, right)
+    return node
 
 
 def active_leaves(tree: CodeTree) -> tuple[int, ...]:
@@ -181,26 +187,21 @@ def _fold(tree: CodeTree, leaf, branch):
     """``leaf(node)`` at a leaf and ``branch(node, left value, right value)``
     at a branch, leaves-to-root, evaluated once per distinct subtree: the
     memo is keyed by value, and an interned subtree is found by identity.
-    The memo is emptied before returning, so only the root's value outlives
-    the call."""
-    memo = {}
+    The memo is passed down the recursion, never captured, so only the
+    root's value outlives the call."""
+    return _fold_node(tree, {}, leaf, branch)
 
-    def fold(t: CodeTree):
-        got = memo.get(t)
-        if got is None:
-            if isinstance(t, Leaf):
-                got = leaf(t)
-            else:
-                got = branch(t, fold(t.left), fold(t.right))
-            memo[t] = got
-        return got
 
-    try:
-        return fold(tree)
-    finally:
-        # fold closes over itself, a cycle that would keep every memoised
-        # value alive until the cyclic collector runs.
-        memo.clear()
+def _fold_node(t: CodeTree, memo: dict, leaf, branch):
+    got = memo.get(t)
+    if got is None:
+        if isinstance(t, Leaf):
+            got = leaf(t)
+        else:
+            left = _fold_node(t.left, memo, leaf, branch)
+            got = branch(t, left, _fold_node(t.right, memo, leaf, branch))
+        memo[t] = got
+    return got
 
 
 def ensemble_wef_int(tree: CodeTree, max_weight: int) -> tuple[int, list[int]]:

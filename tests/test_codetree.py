@@ -193,8 +193,8 @@ class _Box:
 
 
 def test_fold_keeps_only_the_root_value_alive():
-    # The fold's closure refers to itself, a cycle: without the memo emptied
-    # on return, every value would live until the cyclic collector runs.
+    # With gc disabled, a value that lived on past the call would have to be
+    # held by the fold's memo or by a cycle through it; only the root may be.
     made = []
 
     def box(*_):
@@ -213,6 +213,39 @@ def test_fold_keeps_only_the_root_value_alive():
             gc.enable()
     assert len(made) == len(_distinct_nodes(tree))
     assert len(alive) == 1 and alive[0] is root
+
+
+_M, _ACTIVE = 10, random.Random(32).sample(range(1 << 10), 300)
+_TREE = tree_from_active_set(_M, _ACTIVE)
+_CALLS = {
+    "tree_from_active_set": (_M, _ACTIVE),
+    "tree_from_json_dict": ({"m": _M, "active": _ACTIVE},),
+    "rm_tree": (3, _M),
+    "ensemble_wef_int": (_TREE, 8),
+    "active_leaves": (_TREE,),
+    "dual_tree": (_TREE,),
+    "generator_matrix": (_TREE,),
+    "tree_to_json_dict": (_TREE,),
+}
+
+
+@pytest.mark.parametrize("name", list(_CALLS))
+def test_calls_leave_no_cyclic_garbage(name):
+    # Per-call state is passed down the recursions, never captured by a
+    # closure that refers to itself, so everything a call made but did not
+    # return is freed on return, and the cyclic collector finds nothing.
+    call, args = getattr(codetree, name), _CALLS[name]
+    call(*args)  # loads what the first call imports
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kept = call(*args)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0
 
 
 def test_dimension_and_length_examples():

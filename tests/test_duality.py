@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plotkin_wef import (
@@ -39,6 +39,20 @@ def rational_pairs(draw):
     n = draw(st.integers(1, 9))
     spectra = st.lists(fractions, min_size=n + 1, max_size=n + 1).filter(any)
     return n, common_denominator(draw(spectra)), common_denominator(draw(spectra))
+
+
+def seeded_pair(n, palindromic, seed):
+    """Dense rational length-n spectra u and v: both palindromic, so that the
+    combine of u with v is mirrored and that of their transforms is not, or
+    both skewed, so that neither is."""
+    rng = random.Random(seed)
+    spectra = []
+    for _ in range(2):
+        coeffs = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(n + 1)]
+        if palindromic:
+            coeffs = [max(c, coeffs[n - w]) for w, c in enumerate(coeffs)]
+        spectra.append(common_denominator(coeffs))
+    return n, *spectra
 
 
 def transform_by_definition(coeffs) -> tuple[Fraction, ...]:
@@ -95,9 +109,17 @@ def test_zero_mass_is_rejected():
 
 @settings(max_examples=60, deadline=None)
 @given(rational_pairs())
+@example(seeded_pair(16, True, 16))
+@example(seeded_pair(16, False, 17))
+@example(seeded_pair(32, True, 32))
+@example(seeded_pair(32, False, 33))
+@example(seeded_pair(64, True, 64))
+@example(seeded_pair(64, False, 65))
 def test_transform_commutes_with_combine(pair):
     # The transform of a non-code spectrum may have negative entries, which
-    # combine_int takes as they are.
+    # combine_int takes as they are.  Hypothesis draws n <= 9 and seldom a
+    # palindrome; the seeded pairs set both the mirrored and the unmirrored
+    # kernel windows against the oracle at n up to 64.
     n, u, v = pair
     assert macwilliams(combine_int(n, u, v, 2 * n)) == combine_int(
         n, macwilliams(v), macwilliams(u), 2 * n
@@ -143,3 +165,21 @@ def test_reed_muller_duals(m):
     for r in range(-1, m + 1):
         assert dual_tree(rm_tree(r, m)) == rm_tree(m - r - 1, m)
         assert macwilliams(spectra[r]) == spectra[m - r - 1], (r, m)
+
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_random_self_dual_trees_are_their_own_transform(m):
+    # One active leaf of each complementary pair (i, n-1-i), leaf n-1 among
+    # them, makes a tree its own dual: a whole-spectrum check on unshared
+    # trees with skewed children, which rm trees never have.  The spectrum is
+    # its own MacWilliams transform and, the dual code being even, has no odd
+    # weight.
+    n = 1 << m
+    for seed in range(8):
+        rng = random.Random(100 * m + seed)
+        tree = tree_from_active_set(m, [n - 1] + [rng.choice((i, n - 1 - i)) for i in range(1, n // 2)])
+        assert dual_tree(tree) == tree
+        den, nums = ensemble_wef_int(tree, n)
+        assert macwilliams((den, nums)) == (den, nums), seed
+        assert not any(nums[1::2]), seed

@@ -191,7 +191,7 @@ def test_rm_and_tree_load_no_oracle_bound_or_fraction_modules(tmp_path, argv):
     argv = [str(tree) if a == "TREE" else a for a in argv]
     _, loaded = fresh_cli_modules(*argv)
     assert "plotkin_wef.codetree" in loaded
-    assert not {"plotkin_wef.oracle", "plotkin_wef.bounds", "fractions"} & loaded
+    assert not {"plotkin_wef.oracle", "plotkin_wef.bounds", "fractions", "decimal"} & loaded
 
 
 def test_emit_generator_loads_oracle(capsys, tmp_path):
