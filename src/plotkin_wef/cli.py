@@ -23,8 +23,9 @@ prints its value.
 Spectra stay in integer form, ``(den, nums)``, from input to output:
 combine and bound parse their spectrum files straight into that form
 (enumerator.spectrum_from_json, which also gives the canonical echo of the
-input: each distinct "p/q" text is read with one int(), and the texts over
-a shared denominator are reduced together, with one gcd with it;
+input: each distinct digit text, "p" or "p/q", is read with one int(), and
+the texts over a shared denominator are reduced together, with one gcd
+with it, a plain integer's denominator 1 needing none;
 combine --partial W echoes the integer texts above W unconverted), and
 enumerator.spectrum_to_json reduces each nonzero coefficient to lowest
 terms only when it is written out; bound sums its union bound over that

@@ -9,7 +9,11 @@ base of the package's immutable value classes.
 Spectrum JSON and the integer form ``(den, nums)`` (coefficient w is
 nums[w] / den) convert both ways without a Fraction per coefficient:
 ``spectrum_from_json`` reads it, with the canonical JSON echo, and
-``spectrum_to_json`` is the one writer of that canonical JSON.
+``spectrum_to_json`` is the one writer of that canonical JSON.  The reader
+takes every "p" or "p/q" text in ASCII digits by one path: it files the
+text under its denominator digits, a plain integer as the q = 1 group, and
+reduces each group together (``_reduce_groups``); every other value is read
+as ``_as_fraction`` reads it.
 ``WeightEnumerator.from_json_dict`` and ``to_json_dict`` wrap the two.
 Fractions are built here alone: ``fractions_over`` views the integer form
 as Fractions, ``common_denominator`` is its inverse, and ``_fraction_class``
@@ -184,41 +188,47 @@ def _exact_term(value) -> tuple[int, int, str]:
     return c.numerator, c.denominator, str(c)
 
 
-def _reduce_groups(groups: dict) -> dict:
-    """The term (p, q, text) of every "p/q" text in ``groups``, by text:
-    p / q in lowest terms and its canonical text str(Fraction(p, q)), which
-    is the input text when that is already canonical.  ``groups[den]`` maps
-    each text over the nonzero denominator digits ``den`` to its numerator
-    digits.
+def _text(p: int, q: int) -> str:
+    """The canonical text of p / q in lowest terms: "p", or "p/q" for q > 1."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
-    The texts over one q need one gcd with q in all: with r = p mod q for
-    each numerator p, G = gcd(q, prod r mod q) equals gcd(q, prod p), and
-    every gcd(p, q) divides G, which divides q, so gcd(p, q) = gcd(r, G).
-    G = 1, the usual case, leaves every text in lowest terms; otherwise
-    each gcd is taken with G, not q.  A numerator r = 0 makes G = q, and a
-    group of one text gets G = gcd(q, p mod q) = gcd(p, q).
+
+def _reduce_groups(groups: dict) -> dict:
+    """The term (p, q, text) of every digit text in ``groups``, by text:
+    p / q in lowest terms and its canonical text str(Fraction(p, q)).
+    ``groups[den]`` maps each text over the nonzero denominator digits
+    ``den`` to its numerator digits; a plain integer "p" is filed under
+    ``b""``, q = 1.  The input text is kept when it is already canonical
+    (in lowest terms, no leading zeros, no denominator "1"), and written
+    by ``_text`` otherwise.
+
+    The texts over one q > 1 need one gcd with q in all: with r = p mod q
+    for each numerator p, G = gcd(q, prod r mod q) equals gcd(q, prod p),
+    and every gcd(p, q) divides G, which divides q, so gcd(p, q) =
+    gcd(r, G).  G = 1, the usual case, leaves every text in lowest terms;
+    otherwise each gcd is taken with G, not q.  A numerator r = 0 makes
+    G = q, and a group of one text gets G = gcd(q, p mod q) = gcd(p, q).
+    Over q = 1 every text is in lowest terms, and the batch is skipped.
     """
     reduced = {}
     for den, texts in groups.items():
-        q = int(den)
-        ps = [*map(int, texts.values())]
-        rs = [p % q for p in ps]
-        prod = 1
-        for r in rs:
-            prod = prod * r % q
-        g = math.gcd(q, prod)
-        padded = den.startswith(b"0")
+        q = int(den) if den else 1
+        rs = ps = [*map(int, texts.values())]
+        g = 1
+        if q != 1:
+            rs = [p % q for p in ps]
+            prod = 1
+            for r in rs:
+                prod = prod * r % q
+            g = math.gcd(q, prod)
+        canonical = den != b"1" and not den.startswith(b"0")
         for (text, num), p, r in zip(texts.items(), ps, rs):
             gcd = 1 if g == 1 else math.gcd(r, g)
-            lowest = q
-            if gcd != 1:
-                p, lowest = p // gcd, q // gcd
-            if lowest == 1:
-                reduced[text] = p, 1, str(p)
-            elif gcd == 1 and not padded and not num.startswith(b"0"):
+            if gcd == 1 and canonical and not num.startswith(b"0"):
                 reduced[text] = p, q, text
             else:
-                reduced[text] = p, lowest, f"{p}/{lowest}"
+                p, lowest = p // gcd, q // gcd
+                reduced[text] = p, lowest, _text(p, lowest)
     return reduced
 
 
@@ -236,15 +246,18 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     earlier one.
 
     One pass over the keys validates every value, so that the errors come
-    in key order, but converts no "p/q" text in ASCII digits: it files each
-    distinct one under its denominator text, and the texts of each
-    denominator are reduced together after the pass (``_reduce_groups``).
-    So a "p/q" text costs one int() however often it repeats, and each
-    denominator one int(), a batch of products mod q and one gcd with q,
-    whether it holds one text or many; a text needs a gcd of its own only
-    when that batch's gcd is not 1.  Every other value is converted where
-    it stands, once per key, or once per distinct string when the spectrum
-    is palindromic.  Each ASCII text is encoded to bytes once per key.
+    in key order, but converts no digit text: every "p" or "p/q" in ASCII
+    digits, with a nonzero denominator and within Python's limit on the
+    digits int() reads, takes one path.  Each distinct one is filed under
+    its denominator text, a plain integer under ``b""`` (q = 1), and the
+    texts of each denominator are reduced together after the pass
+    (``_reduce_groups``).  So a digit text costs one int() however often it
+    repeats, as the values of a palindromic spectrum do, and each
+    denominator q > 1 one int(), a batch of products mod q and one gcd with
+    q, whether it holds one text or many; a text needs a gcd of its own
+    only when that batch's gcd is not 1.  Every other value is converted
+    where it stands, once per key (``_exact_term``).  Each ASCII text is
+    encoded to bytes once per key.
 
     With ``max_weight`` W, only the coefficients 0..W are read: nums[w] is 0
     for w > W and ``den`` is the lcm over the weights up to W.  Every value
@@ -268,13 +281,8 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     # Python's limit on the digits int() reads, 0 when lifted.
     limit = sys.get_int_max_str_digits()
     terms = {}
-    # The "p/q" texts in ASCII digits, by denominator text, as
-    # _reduce_groups takes them.
+    # The digit texts, by denominator text, as _reduce_groups takes them.
     groups = {}
-    # A palindromic spectrum spells A_w and A_{n-w} alike: its values are
-    # parsed once per distinct string, and other spectra pay no lookups.
-    values = [*raw.values()]
-    parsed = {} if values == values[::-1] else None
     for key, value in raw.items():
         try:
             w = int(key)
@@ -287,9 +295,8 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 raise ValueError(f"coefficient of x^{w} is a float; exact values only")
             terms[w] = _exact_term(value)
             continue
-        # The bytes of an ASCII text, encoded once, before the palindrome
-        # lookup.  bytes.isdigit accepts exactly 0-9, and is several times
-        # faster than str.isdigit.
+        # The bytes of an ASCII text, encoded once.  bytes.isdigit accepts
+        # exactly 0-9, and is several times faster than str.isdigit.
         data = value.encode() if value.isascii() else None
         if w > top and data is not None and data.isdigit():
             # Echoed only: 1 stands for any positive numerator.  A text
@@ -299,39 +306,19 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
             text = value.lstrip("0")
             terms[w] = (1, 1, text) if text else (0, 1, "0")
             continue
-        if parsed is not None:
-            term = parsed.get(value)
-            if term is not None:
-                terms[w] = term
-                continue
-        term = None
-        if data is not None:
+        if data is not None and (not limit or len(value) <= limit):
+            # Within the limit int() raises on neither part, so a filed
+            # text holds back no error.  A zero denominator is left to
+            # _exact_term, which raises in key order.
             num, slash, den = data.partition(b"/")
-            if not slash:
-                if num.isdigit():
-                    p = int(num)
-                    term = p, 1, str(p) if num.startswith(b"0") else value
-            elif num.isdigit() and den.isdigit() and (not limit or len(value) <= limit):
-                # Within the limit int() raises on neither part, so a filed
-                # text holds back no error.  A zero denominator is left to
-                # _exact_term, which raises in key order.
-                group = groups.get(den)
-                if group is None and den.strip(b"0"):
-                    group = groups[den] = {}
-                if group is not None:
-                    group[value] = num
-                    term = value
-        if term is None:
-            term = _exact_term(value)
-        terms[w] = term
-        if parsed is not None:
-            parsed[value] = term
+            if num.isdigit() and (not slash or den.isdigit() and den.strip(b"0")):
+                groups.setdefault(den, {})[value] = num
+                terms[w] = value
+                continue
+        terms[w] = _exact_term(value)
     # Filed texts stand for their terms until now.
-    if groups:
-        reduced = _reduce_groups(groups)
-        for w, term in terms.items():
-            if type(term) is str:
-                terms[w] = reduced[term]
+    reduced = _reduce_groups(groups)
+    terms = {w: reduced[term] if type(term) is str else term for w, term in terms.items()}
     weights = sorted(w for w, (p, _, _) in terms.items() if p)
     # Each denominator once: a palindromic spectrum repeats every one.
     den = math.lcm(*{terms[w][1] for w in weights if w <= top})
@@ -357,7 +344,7 @@ def spectrum_to_json(length: int, den: int, nums) -> dict:
             text = texts.get(num)
             if text is None:
                 g = math.gcd(num, den)
-                text = texts[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
+                text = texts[num] = _text(num // g, den // g)
             coeffs[str(w)] = text
     return {"n": length, "coeffs": coeffs}
 

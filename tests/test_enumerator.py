@@ -239,6 +239,11 @@ def spectrum_json():
 # A zero denominator, alone or spelled "00", raises where it stands.
 @example({"n": 2, "coeffs": {"0": "1/3", "1": "2/0", "2": "1/3"}}, None)
 @example({"n": 2, "coeffs": {"0": "0/00", "1": "2/00"}}, 0)
+# A text past the limit on int() raises where it stands, before a later
+# key's error: a "p/q" whose denominator alone is past it, and a plain
+# integer above W.
+@example({"n": 2, "coeffs": {"1": "1/" + "1" * 5000, "x": "1"}}, None)
+@example({"n": 2, "coeffs": {"2": "1" * 5000, "0": 1.5}}, 0)
 def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     try:
         expected = fraction_path(obj, max_weight)
@@ -252,12 +257,19 @@ def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     assert WeightEnumerator.from_json_dict(obj).to_json_dict() == echo
 
 
-@given(shared_denominators, st.data())
-def test_group_reduction_matches_a_gcd_per_text(q, data):
-    den = data.draw(st.sampled_from(["", "0"])) + str(q)
+# Denominator texts as the parser files them: q, zero-padded or not, and
+# for q = 1 also "1", "01" and "", under which a plain integer "p" is filed.
+denominator_texts = st.sampled_from(["", "1", "01"]) | st.tuples(
+    st.sampled_from(["", "0"]), shared_denominators
+).map(lambda zq: zq[0] + str(zq[1]))
+
+
+@given(denominator_texts, st.data())
+def test_group_reduction_matches_a_gcd_per_text(den, data):
+    q = int(den) if den else 1
     padded = st.tuples(st.sampled_from(["", "00"]), numerators_over(q))
     nums = data.draw(st.lists(padded.map(lambda zp: zp[0] + str(zp[1])), min_size=1, max_size=12))
-    texts = {f"{num}/{den}": num.encode() for num in nums}
+    texts = {f"{num}/{den}" if den else num: num.encode() for num in nums}
     reduced = _reduce_groups({den.encode(): texts})
     assert reduced.keys() == texts.keys()
     for text, num in texts.items():
