@@ -22,7 +22,9 @@ values costs one evaluation per distinct subtree.  It computes all four
 per-tree values: ``ensemble_wef_int``, which carries every spectrum as
 ``(den, nums)`` (see plotkin.py) and of which ``ensemble_wef`` is the
 Fraction view, ``dual_tree``, ``active_leaves`` and the rows of
-``generator_matrix``.
+``generator_matrix``; and it is equality's one walk: two trees compare by
+numbering each distinct subtree in a table that their two folds share, in
+O(distinct nodes).
 
 No function here closes over itself: the fold and the builder are
 module-level recursions that take their per-call state (the memo, the
@@ -44,8 +46,8 @@ class CodeTree(Value):
 
     Every node holds its length, its dimension and its hash in slots, set
     once by its constructor (a branch's from its children's), so none of
-    them walks the subtree.  Equality is one walk over node pairs, here for
-    both kinds.
+    them walks the subtree.  Equality, here for both kinds, numbers both
+    trees by the fold.
     """
 
     __slots__ = ("length", "dimension", "_hash")
@@ -54,24 +56,24 @@ class CodeTree(Value):
         return self._hash
 
     def __eq__(self, other):
-        """Structural equality in O(distinct node pairs): each tree shares its
-        equal subtrees, so a pair of nodes met again is not compared again."""
+        """Structural equality by numbering: one fold per tree, over a table
+        that both folds share, numbers a leaf by ``(active,)`` and a branch
+        by its children's numbers, so two trees are equal iff their roots
+        get one number.  That is O(distinct nodes) on trees that share
+        their equal subtrees, as every tree the package builds does; on a
+        hand-built tree the fold's memo compares each repeated subtree with
+        its first copy by this equality, a fold again.  Like every fold it
+        recurses once per level, within Python's recursion limit."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        seen = set()
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            if a.__class__ is Branch:
-                seen.add((id(a), id(b)))
-                pairs += (a.right, b.right), (a.left, b.left)
-            elif a.active != b.active:
-                return False
-        return True
+        if self._hash != other._hash:
+            return False
+        ids = {}
+        number = (
+            lambda t: ids.setdefault((t.active,), len(ids)),
+            lambda t, left, right: ids.setdefault((left, right), len(ids)),
+        )
+        return _fold(self, *number) == _fold(other, *number)
 
 
 class Leaf(CodeTree):

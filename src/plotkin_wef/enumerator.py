@@ -316,20 +316,24 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 terms[w] = value
                 continue
         terms[w] = _exact_term(value)
-    # Filed texts stand for their terms until now.
+    # Filed texts stand for their terms until now.  One pass in weight
+    # order checks the signs, so the lowest negative weight raises, writes
+    # the echo and keeps the nonzero terms up to W.
     reduced = _reduce_groups(groups)
-    terms = {w: reduced[term] if type(term) is str else term for w, term in terms.items()}
-    weights = sorted(w for w, (p, _, _) in terms.items() if p)
+    coeffs, kept = CanonicalCoeffs(), []
+    for w, term in sorted(terms.items()):
+        p, q, text = reduced[term] if type(term) is str else term
+        if p:
+            if p < 0:
+                raise ValueError(f"coefficient of x^{w} is negative: {text}")
+            coeffs[str(w)] = text
+            if w <= top:
+                kept.append((w, p, q))
     # Each denominator once: a palindromic spectrum repeats every one.
-    den = math.lcm(*{terms[w][1] for w in weights if w <= top})
-    for w in weights:
-        p, q, text = terms[w]
-        if p < 0:
-            raise ValueError(f"coefficient of x^{w} is negative: {text}")
-        if w <= top:
-            nums[w] = p if q == den else p * (den // q)
-    echo = {"n": n, "coeffs": CanonicalCoeffs({str(w): terms[w][2] for w in weights})}
-    return den, nums, echo
+    den = math.lcm(*{q for _, _, q in kept})
+    for w, p, q in kept:
+        nums[w] = p if q == den else p * (den // q)
+    return den, nums, {"n": n, "coeffs": coeffs}
 
 
 def spectrum_to_json(length: int, den: int, nums) -> dict:

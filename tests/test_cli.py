@@ -105,6 +105,19 @@ class TestRm:
         assert code == 3
         assert "exceeds" in err
 
+    def test_depth_refusals_name_the_length_and_the_guard(self, capsys, tmp_path, monkeypatch):
+        # A length past 2^64 and past the guard's bits is named as a power,
+        # so 2^m is never built; a smaller one is written out.
+        monkeypatch.delenv("PLOTKIN_WEF_MAX_LENGTH", raising=False)
+        advice = "; raise --max-length or PLOTKIN_WEF_MAX_LENGTH if intended\n"
+        path = write_json(tmp_path / "t.json", {"m": 5, "active": [0, 31]})
+        for argv, refusal in (
+            (("rm", "2", "13"), "error: length 8192 exceeds the guard (4096)"),
+            (("rm", "2", "70"), "error: length 2^70 exceeds the guard (4096)"),
+            (("tree", path, "--max-length", "16"), "error: length 32 exceeds the guard (16)"),
+        ):
+            assert run(capsys, *argv) == (3, "", refusal + advice), argv
+
     def test_negative_depth_exit_2(self, capsys):
         code, out, err = run(capsys, "rm", "2", "-1")
         assert code == 2

@@ -6,6 +6,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import min_positive_weight
 from plotkin_wef import codetree
@@ -456,6 +458,76 @@ def test_separately_built_deep_trees_compare_in_distinct_nodes():
     # Equal hashes do not make equal trees: hash(-1) == hash(-2) in CPython.
     assert hash(Leaf(-1)) == hash(Leaf(-2)) and Leaf(-1) != Leaf(-2)
     assert Branch(Leaf(-1), Leaf(False)) != Branch(Leaf(-2), Leaf(False))
+
+
+def _rebuilt(tree):
+    """The same tree from fresh Leaf and Branch objects, sharing nothing."""
+    if isinstance(tree, Leaf):
+        return Leaf(tree.active)
+    return Branch(_rebuilt(tree.left), _rebuilt(tree.right))
+
+
+def _leaf_bits(tree):
+    """The leaves' active flags left to right, by a walk of every path."""
+    if isinstance(tree, Leaf):
+        return (tree.active,)
+    return _leaf_bits(tree.left) + _leaf_bits(tree.right)
+
+
+@st.composite
+def _active_set_pairs(draw):
+    # Two active sets of depth <= 8 that often agree, or differ in a leaf or
+    # two or in depth; half are complemented, so dense sets with uniform
+    # all-active subtrees come up as often as sparse ones.
+    m = draw(st.integers(0, 8))
+    active = draw(st.sets(st.integers(0, (1 << m) - 1)))
+    if draw(st.booleans()):
+        active = set(range(1 << m)) - active
+    other_m = draw(st.sampled_from([m, m, m, max(m - 1, 0), min(m + 1, 8)]))
+    toggled = draw(st.sets(st.integers(0, (1 << other_m) - 1), max_size=2))
+    other = {i for i in active if i < 1 << other_m} ^ toggled
+    return (m, active), (other_m, other)
+
+
+@settings(deadline=None)
+@given(_active_set_pairs())
+def test_trees_are_equal_iff_their_lengths_and_active_leaves_are(pair):
+    # Each tree as the builder shares it and as rebuilt node by node, so an
+    # equality that leaned on shared objects would fail between the two.
+    trees = []
+    for m, active in pair:
+        meaning = (1 << m, tuple(sorted(active)))
+        shared = tree_from_active_set(m, active)
+        trees += [(shared, meaning), (_rebuilt(shared), meaning)]
+    for a, meaning_a in trees:
+        for b, meaning_b in trees:
+            equal = meaning_a == meaning_b
+            assert (a == b) is equal and (a != b) is not equal
+            if equal:
+                assert hash(a) == hash(b)
+
+
+def test_hand_built_equal_children_are_combined_once(monkeypatch):
+    # The fold's memo finds the right half by equality with the left one, and
+    # that equality is itself two folds, run inside this one.
+    calls = []
+    original = codetree.combine_int
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    half = tree_from_active_set(5, [3, 5, 6, 7, 11, 13, 14, 15, 31])
+    tree = Branch(half, _rebuilt(half))
+    branches = [node for node in _distinct_nodes(tree) if isinstance(node, Branch)]
+    values = {_leaf_bits(node) for node in branches}
+    assert len(values) < len(branches)
+    expected = {w: codetree.ensemble_wef_int(Branch(half, half), w) for w in (2, tree.length)}
+    monkeypatch.setattr(codetree, "combine_int", counting)
+    for max_weight, spectrum in expected.items():
+        calls.clear()
+        assert codetree.ensemble_wef_int(tree, max_weight) == spectrum
+        assert len(calls) == len(values)
 
 
 def test_integer_recursion_keeps_least_common_denominators(monkeypatch):
