@@ -23,8 +23,8 @@ per-tree values: ``ensemble_wef_int``, which carries every spectrum as
 ``(den, nums)`` (see plotkin.py) and of which ``ensemble_wef`` is the
 Fraction view, ``dual_tree``, ``active_leaves`` and the rows of
 ``generator_matrix``; and it is equality's one walk: two trees compare by
-numbering each distinct subtree in a table that their two folds share, in
-O(distinct nodes).
+numbering each distinct subtree in a table that their two folds share, with
+a memo keyed by identity, in O(distinct nodes) on the trees built here.
 
 No function here closes over itself: the fold and the builder are
 module-level recursions that take their per-call state (the memo, the
@@ -59,21 +59,20 @@ class CodeTree(Value):
         """Structural equality by numbering: one fold per tree, over a table
         that both folds share, numbers a leaf by ``(active,)`` and a branch
         by its children's numbers, so two trees are equal iff their roots
-        get one number.  That is O(distinct nodes) on trees that share
-        their equal subtrees, as every tree the package builds does; on a
-        hand-built tree the fold's memo compares each repeated subtree with
-        its first copy by this equality, a fold again.  Like every fold it
+        get one number.  The folds' memo, shared too, is keyed by identity,
+        so no comparison runs inside them and a subtree the two trees share
+        is numbered once: O(distinct node objects).  Like every fold it
         recurses once per level, within Python's recursion limit."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        ids = {}
+        memo, ids = {}, {}
         number = (
             lambda t: ids.setdefault((t.active,), len(ids)),
             lambda t, left, right: ids.setdefault((left, right), len(ids)),
         )
-        return _fold(self, *number) == _fold(other, *number)
+        return _fold_node(self, memo, *number, id) == _fold_node(other, memo, *number, id)
 
 
 class Leaf(CodeTree):
@@ -191,18 +190,20 @@ def _fold(tree: CodeTree, leaf, branch):
     memo is keyed by value, and an interned subtree is found by identity.
     The memo is passed down the recursion, never captured, so only the
     root's value outlives the call."""
-    return _fold_node(tree, {}, leaf, branch)
+    return _fold_node(tree, {}, leaf, branch, None)
 
 
-def _fold_node(t: CodeTree, memo: dict, leaf, branch):
-    got = memo.get(t)
+def _fold_node(t: CodeTree, memo: dict, leaf, branch, key):
+    # key=None keys the memo by value; equality's numbering passes key=id,
+    # since a value key would compare trees, and so start folds, inside it.
+    got = memo.get(k := t if key is None else key(t))
     if got is None:
         if isinstance(t, Leaf):
             got = leaf(t)
         else:
-            left = _fold_node(t.left, memo, leaf, branch)
-            got = branch(t, left, _fold_node(t.right, memo, leaf, branch))
-        memo[t] = got
+            left = _fold_node(t.left, memo, leaf, branch, key)
+            got = branch(t, left, _fold_node(t.right, memo, leaf, branch, key))
+        memo[k] = got
     return got
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -528,6 +529,41 @@ def test_hand_built_equal_children_are_combined_once(monkeypatch):
         calls.clear()
         assert codetree.ensemble_wef_int(tree, max_weight) == spectrum
         assert len(calls) == len(values)
+
+
+def test_separately_rebuilt_trees_compare_and_fold_in_their_nodes():
+    # Two copies of RM(7, 14) that share no node: 2^15 objects each, every
+    # repeated subtree a separate one.  Equality walks each object once, and
+    # a fold's memo finds each repeated subtree by one such equality, so
+    # neither may start comparisons inside comparisons, one more per level.
+    a, b = _rebuilt(rm_tree(7, 14)), _rebuilt(rm_tree(7, 14))
+    started = time.perf_counter()
+    equal = a == b
+    assert equal
+    assert time.perf_counter() - started < 0.5
+    started = time.perf_counter()
+    spectrum = codetree.ensemble_wef_int(a, 4)
+    assert time.perf_counter() - started < 0.5
+    expected = codetree.ensemble_wef_int(rm_tree(7, 14), 4)
+    assert spectrum == expected
+
+
+def test_equality_recurses_once_per_level():
+    # Equality is a fold, so a hand-built tree deeper than the recursion
+    # limit raises RecursionError in == as it does in every other fold.
+    shallow, deep = [], []
+    for trees, depth in ((shallow, 200), (deep, sys.getrecursionlimit())):
+        for _ in range(2):
+            node = Leaf(False)
+            for _ in range(depth):
+                node = Branch(node, node)
+            trees.append(node)
+    equal = shallow[0] == shallow[1]
+    assert equal
+    with pytest.raises(RecursionError):
+        deep[0] == deep[1]
+    with pytest.raises(RecursionError):
+        codetree.ensemble_wef_int(deep[0], 1)
 
 
 def test_integer_recursion_keeps_least_common_denominators(monkeypatch):
