@@ -1,14 +1,16 @@
 """Ground-truth spectra by exhaustive enumeration and sampled interleavers.
 
 Codewords are bit-packed integers: bit j (``1 << j``) is coordinate j, which
-corresponds to the leftmost character of the JSON bit-string form.  Row spaces
-are walked in Gray-code order so each step is one XOR and one popcount.
+corresponds to the leftmost character of the JSON bit-string form.  One
+function, ``_weights``, counts a row space's words by weight, walking them in
+Gray-code order so each step is one XOR and one popcount.
 
 The two ensemble oracles are one count, ``_permutation_sums``, which adds the
-integer spectrum of {(u + v*perm, v)} for each permutation it is fed.  They
-differ only in the permutations they feed it: ``ensemble_wef_exhaustive`` all
-n! of them, ``ensemble_wef_montecarlo`` seeded draws of
-``uniform_permutation``.
+integer spectrum of {(u + v*perm, v)} for each permutation it is fed.  Each
+such instance is the row space of the Plotkin generator [G0 0; G1*perm G1],
+counted by ``_weights``.  The oracles differ only in the permutations they
+feed it: ``ensemble_wef_exhaustive`` all n! of them,
+``ensemble_wef_montecarlo`` seeded draws of ``uniform_permutation``.
 
 ``macwilliams`` is an oracle of another kind: it checks a whole spectrum
 against the spectrum of the dual ensemble (codetree.dual_tree), at any length.
@@ -28,7 +30,6 @@ import math
 import random
 import warnings
 from collections import namedtuple
-from collections.abc import Iterator
 from operator import add, sub
 
 from .enumerator import Value, WeightEnumerator, fractions_over, is_int
@@ -136,14 +137,17 @@ def uniform_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _span(basis, word: int = 0) -> Iterator[int]:
-    """``word ^ s`` for each of the 2^len(basis) words s of the span, in
-    Gray-code order: step t adds basis[i], i the lowest set bit of t, which
-    is the bit where the Gray codes of t - 1 and t differ."""
-    yield word
+def _weights(basis, n: int) -> list[int]:
+    """The number of words of each weight 0..n in the row space of the
+    independent ``basis``, walked in Gray-code order: step t adds basis[i],
+    i the lowest set bit of t, which is the bit where the Gray codes of
+    t - 1 and t differ."""
+    counts = [1] + [0] * n
+    word = 0
     for t in range(1, 1 << len(basis)):
         word ^= basis[(t & -t).bit_length() - 1]
-        yield word
+        counts[word.bit_count()] += 1
+    return counts
 
 
 def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
@@ -165,28 +169,28 @@ def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    counts = [0] * (G.n + 1)
-    for word in _span(basis):
-        counts[word.bit_count()] += 1
-    return WeightEnumerator(G.n, counts)
+    return WeightEnumerator(G.n, _weights(basis, G.n))
 
 
-def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, permutations, max_dimension: int):
+def _length(G0: BinaryMatrix, G1: BinaryMatrix) -> int:
+    """The components' common length n, which both oracles check first."""
+    if G1.n != G0.n:
+        raise ValueError(f"component lengths differ: {G0.n} vs {G1.n}")
+    return G0.n
+
+
+def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, count, mappings, max_dimension: int):
     """Weight by weight, the sum and the sum of squares of the integer
-    spectrum of {(u + v*perm, v)} over the mappings that ``permutations(n)``
-    returns, as ``(count, mappings)``; u ranges over rowspace(G0), v over
-    rowspace(G1).  Two lists of 2n + 1 integers.
+    spectrum of {(u + v*perm, v)} over the ``count`` mappings that
+    ``mappings`` yields; u ranges over rowspace(G0), v over rowspace(G1).
+    Two lists of 2n + 1 integers.
 
-    The lengths are checked first, then ``permutations(n)`` is called, which
-    may refuse n or its caller's own arguments, then the k0+k1 budget, then
-    the budget of count * 2^(k0+k1) codeword counts, MAX_CODEWORD_COUNTS.
-    The mappings are taken one at a time, so a lazy source draws each just
-    before it is counted, and none before the checks.
+    The k0+k1 budget is checked first, then the budget of count *
+    2^(k0+k1) codeword counts, MAX_CODEWORD_COUNTS.  The mappings are taken
+    one at a time, so a lazy source draws each just before it is counted,
+    and none before the checks.
     """
     n = G0.n
-    if G1.n != n:
-        raise ValueError(f"component lengths differ: {n} vs {G1.n}")
-    count, mappings = permutations(n)
     k = G0.k + G1.k
     if k > max_dimension:
         raise BudgetError(f"k0+k1={k} exceeds the codeword budget (max {max_dimension})")
@@ -195,18 +199,14 @@ def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, permutations, max_dime
             f"{count} permutations x 2^{k} codewords exceed the count budget"
             f" (max {MAX_CODEWORD_COUNTS})"
         )
-    basis_u = G0.row_space_basis()
-    basis_v = G1.row_space_basis()
-    sums = [0] * (2 * n + 1)
-    sums_sq = [0] * (2 * n + 1)
+    basis_u, basis_v = G0.row_space_basis(), G1.row_space_basis()
+    sums, sums_sq = [0] * (2 * n + 1), [0] * (2 * n + 1)
     for mapping in mappings:
-        counts = [0] * (2 * n + 1)
-        for v in _span(basis_v):
-            # The codeword (u + v*perm, v) as one 2n-bit word: basis_u lives
-            # in the low n bits, v in the high n.
-            for word in _span(basis_u, _permute_bits(v, mapping) | v << n):
-                counts[word.bit_count()] += 1
-        for w, c in enumerate(counts):
+        # One instance is the row space of [G0 0; G1*perm G1] in 2n-bit
+        # words.  Its rows are independent: basis_u lies in the low n bits,
+        # and each row built from basis_v carries that basis row in the high n.
+        basis = [*basis_u, *(_permute_bits(v, mapping) | v << n for v in basis_v)]
+        for w, c in enumerate(_weights(basis, 2 * n)):
             sums[w] += c
             sums_sq[w] += c * c
     return sums, sums_sq
@@ -220,16 +220,15 @@ def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumera
     The result carries exact rational coefficients with denominator dividing
     n!.
     """
-
-    def permutations(n: int):
-        if n > EXHAUSTIVE_MAX_LENGTH:
-            raise BudgetError(
-                f"n={n} exceeds the n! enumeration budget (max {EXHAUSTIVE_MAX_LENGTH})"
-            )
-        return math.factorial(n), itertools.permutations(range(n))
-
-    sums, _ = _permutation_sums(G0, G1, permutations, EXHAUSTIVE_MAX_DIMENSION)
-    return WeightEnumerator(2 * G0.n, fractions_over(math.factorial(G0.n), sums))
+    n = _length(G0, G1)
+    if n > EXHAUSTIVE_MAX_LENGTH:
+        raise BudgetError(
+            f"n={n} exceeds the n! enumeration budget (max {EXHAUSTIVE_MAX_LENGTH})"
+        )
+    count = math.factorial(n)
+    mappings = itertools.permutations(range(n))
+    sums, _ = _permutation_sums(G0, G1, count, mappings, EXHAUSTIVE_MAX_DIMENSION)
+    return WeightEnumerator(2 * n, fractions_over(count, sums))
 
 
 # spectrum: the mean WeightEnumerator; stderrs: a tuple of floats, one per weight.
@@ -249,21 +248,19 @@ def ensemble_wef_montecarlo(
     A run of samples * 2^(k0+k1) codewords above MAX_CODEWORD_COUNTS, the
     exhaustive oracle's largest, is refused before the first draw.
     """
-
-    def draws(n: int):
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        rng = random.Random(seed)
-        return samples, (uniform_permutation(n, rng) for _ in range(samples))
-
-    sums, sums_sq = _permutation_sums(G0, G1, draws, MONTE_CARLO_MAX_DIMENSION)
+    n = _length(G0, G1)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = random.Random(seed)
+    draws = (uniform_permutation(n, rng) for _ in range(samples))
+    sums, sums_sq = _permutation_sums(G0, G1, samples, draws, MONTE_CARLO_MAX_DIMENSION)
     # int / int rounds the exact quotient once, as float(Fraction) does.  With
     # one sample every numerator samples * sq - s * s is 0, so the scale's
     # factor samples - 1 is taken as 1 there.
     scale = samples * samples * max(samples - 1, 1)
     stderrs = tuple(math.sqrt((samples * sq - s * s) / scale) for s, sq in zip(sums, sums_sq))
     means = fractions_over(samples, sums)
-    return MonteCarloEstimate(WeightEnumerator(2 * G0.n, means), stderrs)
+    return MonteCarloEstimate(WeightEnumerator(2 * n, means), stderrs)
 
 
 def _taylor_shift(coeffs: list[int], step) -> list[int]:

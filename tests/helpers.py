@@ -146,7 +146,16 @@ def random_full_rank_matrix(rng, n, k) -> BinaryMatrix:
             return m
 
 
-def stacked_identity_generator(G0: BinaryMatrix, G1: BinaryMatrix) -> BinaryMatrix:
-    """Generator of the identity-permutation code {(u + v, v)}."""
-    rows = list(G0.rows) + [g | (g << G1.n) for g in G1.rows]
+def stacked_identity_generator(G0: BinaryMatrix, G1: BinaryMatrix, mapping=None) -> BinaryMatrix:
+    """Generator [G0 0; G1*perm G1] of the code {(u + v*perm, v)}: rows
+    [g0 | 0] and [perm(g1) | g1], where coordinate j of g1 goes to
+    mapping[j].  Without a mapping, the identity-permutation code
+    {(u + v, v)}."""
+    n = G1.n
+    mapping = range(n) if mapping is None else mapping
+
+    def permuted(g):
+        return sum(1 << mapping[j] for j in range(n) if g >> j & 1)
+
+    rows = list(G0.rows) + [permuted(g) | (g << n) for g in G1.rows]
     return BinaryMatrix(2 * G0.n, tuple(rows))

@@ -373,20 +373,78 @@ class TestOracle:
         assert record["input"]["seed"] == 7
         assert "3" in record["stderr"]
 
-    def test_montecarlo_stderrs_are_pinned(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        ("g0_rows", "g1_rows", "exhaustive", "montecarlo", "stderrs"),
+        [
+            pytest.param(
+                ["110000", "001101"],
+                ["101000", "010110"],
+                {
+                    "0": "1", "2": "16/15", "3": "5/4", "4": "26/15", "5": "203/60",
+                    "6": "2", "7": "169/60", "8": "13/15", "9": "11/20", "10": "4/3",
+                },
+                {
+                    "0": "1", "2": "28/25", "3": "6/5", "4": "42/25", "5": "83/25",
+                    "6": "47/25", "7": "72/25", "8": "23/25", "9": "3/5", "10": "7/5",
+                },
+                {
+                    "0": 0.0, "2": 0.066332495807108, "3": 0.08164965809277261,
+                    "4": 0.09521904571390467, "5": 0.21385353243127253,
+                    "6": 0.1451436070471816, "7": 0.1451436070471816,
+                    "8": 0.11430952132988165, "9": 0.12909944487358055, "10": 0.1,
+                },
+                id="full-rank",
+            ),
+            pytest.param(
+                ["110000", "011100", "101100"],
+                ["101100", "010111", "111011"],
+                {
+                    "0": "1", "2": "1", "3": "21/10", "4": "1/5", "5": "13/10",
+                    "6": "2", "7": "31/10", "8": "12/5", "9": "3/2", "10": "7/5",
+                },
+                {
+                    "0": "1", "2": "1", "3": "52/25", "4": "1/5", "5": "29/25",
+                    "6": "49/25", "7": "86/25", "8": "62/25", "9": "33/25", "10": "34/25",
+                },
+                {
+                    "0": 0.0, "2": 0.0, "3": 0.05537749241945383,
+                    "4": 0.08164965809277261, "5": 0.12489995996796796,
+                    "6": 0.12220201853215573, "7": 0.2891366458960192,
+                    "8": 0.1540562667772179, "9": 0.16041612554021287,
+                    "10": 0.09797958971132711,
+                },
+                id="rank-deficient",
+            ),
+            pytest.param(
+                ["110000", "001101"],
+                [],
+                {"0": "1", "2": "1", "3": "1", "5": "1"},
+                {"0": "1", "2": "1", "3": "1", "5": "1"},
+                {"0": 0.0, "2": 0.0, "3": 0.0, "5": 0.0},
+                id="zero-v-code",
+            ),
+        ],
+    )
+    def test_montecarlo_stderrs_are_pinned(
+        self, capsys, tmp_path, g0_rows, g1_rows, exhaustive, montecarlo, stderrs
+    ):
         # Recorded when each standard error was float() of a Fraction; the
-        # integer true division must round every one the same way.
-        g0 = write_json(tmp_path / "g0.json", {"n": 6, "rows": ["110000", "001101"]})
-        g1 = write_json(tmp_path / "g1.json", {"n": 6, "rows": ["101000", "010110"]})
-        argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "25", "--seed", "11"]
-        code, out, err = run(capsys, *argv, "--format", "json")
-        assert code == 0, err
-        assert json.loads(out)["stderr"] == {
-            "0": 0.0, "2": 0.066332495807108, "3": 0.08164965809277261,
-            "4": 0.09521904571390467, "5": 0.21385353243127253,
-            "6": 0.1451436070471816, "7": 0.1451436070471816,
-            "8": 0.11430952132988165, "9": 0.12909944487358055, "10": 0.1,
-        }
+        # integer true division must round every one the same way.  The
+        # rank-deficient pair (a third row that is the sum of the first two
+        # in each matrix) and the zero v-code were recorded when each
+        # instance was counted one coset of rowspace(G0) per codeword v.
+        g0 = write_json(tmp_path / "g0.json", {"n": 6, "rows": g0_rows})
+        g1 = write_json(tmp_path / "g1.json", {"n": 6, "rows": g1_rows})
+        draws = ["--samples", "25", "--seed", "11", "--format", "json"]
+        for mode, coeffs, errors in (
+            ("exhaustive", exhaustive, None),
+            ("montecarlo", montecarlo, stderrs),
+        ):
+            code, out, err = run(capsys, "oracle", g0, g1, "--mode", mode, *draws)
+            assert code == 0, err
+            record = json.loads(out)
+            assert record["spectrum"]["coeffs"] == coeffs
+            assert record.get("stderr") == errors
 
     def test_budget_exit_3(self, capsys, tmp_path):
         g0 = write_json(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import random_matrix
+from helpers import random_matrix, stacked_identity_generator
 from plotkin_wef import (
     BinaryMatrix,
     BudgetError,
@@ -22,7 +22,7 @@ from plotkin_wef import (
     uniform_permutation,
 )
 from plotkin_wef import oracle
-from plotkin_wef.oracle import _permute_bits, _span
+from plotkin_wef.oracle import _permute_bits, _weights
 
 G_REP3 = BinaryMatrix.from_strings(["111"])
 G_SPC3 = BinaryMatrix.from_strings(["110", "011"])
@@ -113,25 +113,24 @@ class TestPermuteBits:
         assert _permute_bits(0, mapping) == 0
 
 
-class TestSpan:
+class TestWeights:
     @given(st.integers(0, 10), st.integers(1, 16), st.randoms(use_true_random=False))
     @example(0, 3, random.Random(1))
-    def test_each_word_of_the_coset_once(self, k, n, rng):
-        # An independent basis of k <= n rows, and a start word outside or
-        # inside the span: the walk yields word ^ s once for each s.
+    def test_counts_each_word_of_the_span_by_weight(self, k, n, rng):
+        # An independent basis of k <= n rows: the counts by weight of the
+        # span built as a set, 2^k words.
         k = min(k, n)
         while True:
             basis = [rng.getrandbits(n) for _ in range(k)]
             if BinaryMatrix(n, basis).rank() == k:
                 break
-        word = rng.getrandbits(n)
         span = {0}
         for row in basis:
             span |= {s ^ row for s in span}
-        walked = list(_span(basis, word))
-        assert len(walked) == 1 << k
-        assert set(walked) == {word ^ s for s in span}
-        assert list(_span(basis)) == [w ^ word for w in walked]
+        expected = [0] * (n + 1)
+        for s in span:
+            expected[s.bit_count()] += 1
+        assert _weights(basis, n) == expected
 
 
 class TestUniformPermutation:
@@ -234,6 +233,47 @@ class TestExhaustiveEnsemble:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ensemble_wef_exhaustive(G_REP3, BinaryMatrix(4, ()))
+
+    def test_each_instance_permutes_each_basis_row_once(self, monkeypatch):
+        # One instance is one generator matrix, [G0 0; G1*perm G1]: each of
+        # the 4! permutations moves the 3 rows of G1's basis, not its 2^3
+        # codewords.
+        calls = []
+
+        def permute(x, mapping):
+            calls.append(x)
+            return _permute_bits(x, mapping)
+
+        monkeypatch.setattr(oracle, "_permute_bits", permute)
+        G0 = BinaryMatrix.from_strings(["1100", "0011"])
+        G1 = BinaryMatrix.from_strings(["1000", "0110", "0011"])
+        assert G1.rank() == 3
+        spectrum = ensemble_wef_exhaustive(G0, G1)
+        assert len(calls) == 24 * 3
+        assert spectrum == combine(exact_wef_bruteforce(G0), exact_wef_bruteforce(G1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_mapping_counts_the_code_of_its_generator(seed):
+    # Fed one mapping, the counter gives the spectrum of that one instance,
+    # the row space of [G0 0; G1*perm G1], brute-forced from its rows.
+    # Seeds 1, 4, 7 and 10 repeat a row of G0, seeds 2, 5, 8 and 11 one of G1.
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    G0 = random_matrix(rng, n, rng.randint(1, 4))
+    G1 = random_matrix(rng, n, rng.randint(1, 4))
+    if seed % 3 == 1:
+        G0 = BinaryMatrix(n, G0.rows + G0.rows[:1])
+    elif seed % 3 == 2:
+        G1 = BinaryMatrix(n, G1.rows + G1.rows[-1:])
+    mapping = uniform_permutation(n, rng)
+    budget = oracle.EXHAUSTIVE_MAX_DIMENSION
+    sums, sums_sq = oracle._permutation_sums(G0, G1, 1, iter([mapping]), budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        expected = exact_wef_bruteforce(stacked_identity_generator(G0, G1, mapping))
+    assert sums == list(expected.coeffs)
+    assert sums_sq == [c * c for c in sums]
 
 
 class TestMonteCarlo:
