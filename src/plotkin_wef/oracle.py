@@ -12,6 +12,12 @@ counted by ``_weights``.  The oracles differ only in the permutations they
 feed it: ``ensemble_wef_exhaustive`` all n! of them,
 ``ensemble_wef_montecarlo`` seeded draws of ``uniform_permutation``.
 
+Every oracle run fits one budget, counted in the words it walks: ``count``
+instances of summed rank r walk count * (2^r + INSTANCE_WORDS) words, count
+being 1 (brute force), n! (exhaustive) or the samples (Monte Carlo).  One
+check, ``_budgeted_bases``, refuses a run past WORD_BUDGET with BudgetError
+before a permutation is drawn or a word walked.
+
 ``macwilliams`` is an oracle of another kind: it checks a whole spectrum
 against the spectrum of the dual ensemble (codetree.dual_tree), at any length.
 It works on the integer form ``(den, nums)``, as ``ensemble_wef_int`` returns
@@ -35,12 +41,15 @@ from operator import add, sub
 from .enumerator import Value, WeightEnumerator, fractions_over, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
-BRUTE_FORCE_MAX_DIMENSION = 24
-EXHAUSTIVE_MAX_LENGTH = 7
-EXHAUSTIVE_MAX_DIMENSION = 16
-MONTE_CARLO_MAX_DIMENSION = 24
-# Permutations times codewords: the largest run the exhaustive oracle takes.
-MAX_CODEWORD_COUNTS = math.factorial(EXHAUSTIVE_MAX_LENGTH) << EXHAUSTIVE_MAX_DIMENSION
+# The one budget of every oracle run, in walked words.  Measured in-process
+# on a 2-core VM with Python 3.11.7: a walked word takes 0.12-0.14 us, an
+# exhaustive instance (the next permutation, its basis, the sums) 2.3-2.9 us
+# and a Monte Carlo one (a Fisher-Yates draw at n <= 8 instead) about 6.6 us,
+# so one instance costs INSTANCE_WORDS words, the dearer of the two.  The
+# budget admits the exhaustive oracle at n = 7 up to rank 16, about 40 s.
+INSTANCE_WORDS = 48
+WORD_BUDGET = math.factorial(7) * ((1 << 16) + INSTANCE_WORDS)
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 class BinaryMatrix(Value):
@@ -74,19 +83,27 @@ class BinaryMatrix(Value):
             n = len(strings[0])
         rows = []
         for s in strings:
-            if len(s) != n or set(s) - {"0", "1"}:
+            # A text row is checked in one pass: less its 0s and 1s it is
+            # empty.  A row may also be a list of "0"/"1" strings, checked item
+            # by item and then joined.
+            is_text = isinstance(s, str)
+            if len(s) != n or (s.translate(_DROP_BITS) if is_text else set(s) - {"0", "1"}):
                 raise ValueError(f"bad row {s!r}: need {n} characters from 0/1")
-            # Joined: a row may also be a list of "0"/"1" strings.
-            rows.append(int("".join(s)[::-1] or "0", 2))
+            rows.append(int((s if is_text else "".join(s))[::-1] or "0", 2))
         return cls(n, tuple(rows))
 
     def to_strings(self) -> list[str]:
         return [format(row, f"0{self.n}b")[::-1] for row in self.rows]
 
-    def row_space_basis(self) -> tuple[int, ...]:
-        """A basis of the row space (row echelon by leading bit)."""
+    def row_space_basis(self, max_rank=math.inf) -> tuple[int, ...]:
+        """A basis of the row space (row echelon by leading bit).  The walk
+        stops once the basis holds more than ``max_rank`` rows, so it then
+        returns a basis of the first rows' span, after at most
+        k * (max_rank + 1) row reductions."""
         pivots: dict[int, int] = {}
         for row in self.rows:
+            if len(pivots) > max_rank:
+                break
             cur = row
             while cur:
                 msb = cur.bit_length() - 1
@@ -150,18 +167,36 @@ def _weights(basis, n: int) -> list[int]:
     return counts
 
 
+def _budgeted_bases(count: int, runs: str, *matrices: BinaryMatrix) -> list[tuple[int, ...]]:
+    """The row-space bases of ``matrices``, once a run of ``count``
+    instances of their summed rank r fits the one budget: count * (2^r +
+    INSTANCE_WORDS) walked words, at most WORD_BUDGET.  Otherwise
+    BudgetError, whose message names the run as ``runs``; every oracle
+    checks this before it draws a permutation or walks a word.
+
+    The basis walks stop once r passes log2 WORD_BUDGET, past which every
+    run is refused, so a refusal costs O(k log2 WORD_BUDGET) row reductions
+    and the r it names is at most log2 WORD_BUDGET + 1.
+    """
+    bases, rank = [], 0
+    for G in matrices:
+        bases.append(G.row_space_basis(WORD_BUDGET.bit_length() - 1 - rank))
+        rank += len(bases[-1])
+    if count * ((1 << rank) + INSTANCE_WORDS) > WORD_BUDGET:
+        raise BudgetError(
+            f"{runs} x 2^{rank} codewords (+ {INSTANCE_WORDS} words each) exceed"
+            f" the word budget (max {WORD_BUDGET})"
+        )
+    return bases
+
+
 def exact_wef_bruteforce(G: BinaryMatrix) -> WeightEnumerator:
     """Exact spectrum of G's row space by enumerating its 2^rank codewords.
 
     Warns (RankDeficiencyWarning) when rows are dependent; the row space is
     then still counted once per codeword, so the mass is 2^rank.
     """
-    if G.k > BRUTE_FORCE_MAX_DIMENSION:
-        raise BudgetError(
-            f"k={G.k} exceeds the 2^k enumeration budget"
-            f" (max {BRUTE_FORCE_MAX_DIMENSION})"
-        )
-    basis = G.row_space_basis()
+    (basis,) = _budgeted_bases(1, "1 code", G)
     if len(basis) < G.k:
         warnings.warn(
             f"rows are linearly dependent (rank {len(basis)} < k={G.k});"
@@ -179,27 +214,19 @@ def _length(G0: BinaryMatrix, G1: BinaryMatrix) -> int:
     return G0.n
 
 
-def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, count, mappings, max_dimension: int):
+def _permutation_sums(G0: BinaryMatrix, G1: BinaryMatrix, count: int, runs: str, mappings):
     """Weight by weight, the sum and the sum of squares of the integer
     spectrum of {(u + v*perm, v)} over the ``count`` mappings that
     ``mappings`` yields; u ranges over rowspace(G0), v over rowspace(G1).
     Two lists of 2n + 1 integers.
 
-    The k0+k1 budget is checked first, then the budget of count *
-    2^(k0+k1) codeword counts, MAX_CODEWORD_COUNTS.  The mappings are taken
-    one at a time, so a lazy source draws each just before it is counted,
-    and none before the checks.
+    The budget of ``count`` instances of rank rank0 + rank1 is checked
+    first (``_budgeted_bases``, the run named ``runs`` in its refusal).  The
+    mappings are taken one at a time, so a lazy source draws each just
+    before it is counted, and none before the check.
     """
     n = G0.n
-    k = G0.k + G1.k
-    if k > max_dimension:
-        raise BudgetError(f"k0+k1={k} exceeds the codeword budget (max {max_dimension})")
-    if count << k > MAX_CODEWORD_COUNTS:
-        raise BudgetError(
-            f"{count} permutations x 2^{k} codewords exceed the count budget"
-            f" (max {MAX_CODEWORD_COUNTS})"
-        )
-    basis_u, basis_v = G0.row_space_basis(), G1.row_space_basis()
+    basis_u, basis_v = _budgeted_bases(count, runs, G0, G1)
     sums, sums_sq = [0] * (2 * n + 1), [0] * (2 * n + 1)
     for mapping in mappings:
         # One instance is the row space of [G0 0; G1*perm G1] in 2n-bit
@@ -218,16 +245,19 @@ def ensemble_wef_exhaustive(G0: BinaryMatrix, G1: BinaryMatrix) -> WeightEnumera
     u ranges over rowspace(G0), v over rowspace(G1).  The one counter,
     ``_permutation_sums``, is fed every permutation in lexicographic order.
     The result carries exact rational coefficients with denominator dividing
-    n!.
+    n!.  n! is formed step by step and stops at the first product past
+    WORD_BUDGET, which the budget then refuses, so a huge n costs no time.
     """
     n = _length(G0, G1)
-    if n > EXHAUSTIVE_MAX_LENGTH:
-        raise BudgetError(
-            f"n={n} exceeds the n! enumeration budget (max {EXHAUSTIVE_MAX_LENGTH})"
-        )
-    count = math.factorial(n)
-    mappings = itertools.permutations(range(n))
-    sums, _ = _permutation_sums(G0, G1, count, mappings, EXHAUSTIVE_MAX_DIMENSION)
+    count = i = 1
+    while i < n and count <= WORD_BUDGET:
+        i += 1
+        count *= i
+    # count is i!, and i = n unless count passed the budget, which then
+    # refuses the run: range(i), not range(n), which permutations would
+    # turn into a tuple at once.
+    mappings = itertools.permutations(range(i))
+    sums, _ = _permutation_sums(G0, G1, count, f"{n}! permutations", mappings)
     return WeightEnumerator(2 * n, fractions_over(count, sums))
 
 
@@ -245,15 +275,15 @@ def ensemble_wef_montecarlo(
     before it is counted, so the result is deterministic given ``seed`` (see
     the module notes on the pinned generator).  Per-weight standard errors
     are sample-std/sqrt(samples), with 0.0 reported when samples == 1.
-    A run of samples * 2^(k0+k1) codewords above MAX_CODEWORD_COUNTS, the
-    exhaustive oracle's largest, is refused before the first draw.
+    A run of samples * (2^(rank0+rank1) + INSTANCE_WORDS) walked words
+    above WORD_BUDGET is refused before the first draw.
     """
     n = _length(G0, G1)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     draws = (uniform_permutation(n, rng) for _ in range(samples))
-    sums, sums_sq = _permutation_sums(G0, G1, samples, draws, MONTE_CARLO_MAX_DIMENSION)
+    sums, sums_sq = _permutation_sums(G0, G1, samples, f"{samples} permutations", draws)
     # int / int rounds the exact quotient once, as float(Fraction) does.  With
     # one sample every numerator samples * sq - s * s is 0, so the scale's
     # factor samples - 1 is taken as 1 there.

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from plotkin_wef import BinaryMatrix, WeightEnumerator
+from plotkin_wef import BinaryMatrix, WeightEnumerator, oracle
 
 
 @contextlib.contextmanager
@@ -159,3 +159,18 @@ def stacked_identity_generator(G0: BinaryMatrix, G1: BinaryMatrix, mapping=None)
 
     rows = list(G0.rows) + [permuted(g) | (g << n) for g in G1.rows]
     return BinaryMatrix(2 * G0.n, tuple(rows))
+
+
+class Walked(Exception):
+    """Raised by the stand-in walk of ``stop_at_the_walk``; its argument is
+    the rank of the instance that reached the walk."""
+
+
+def stop_at_the_walk(monkeypatch):
+    """Make the oracles' first word walk raise Walked: a run that raises it
+    was admitted by the word budget, at no cost past its first instance."""
+
+    def walk(basis, n):
+        raise Walked(len(basis))
+
+    monkeypatch.setattr(oracle, "_weights", walk)

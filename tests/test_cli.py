@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import any_int_digits, fresh_cli_modules, fresh_cli_run
+from helpers import Walked, any_int_digits, fresh_cli_modules, fresh_cli_run, stop_at_the_walk
 from plotkin_wef import (
     BinaryMatrix,
     WeightEnumerator,
@@ -29,6 +29,11 @@ def run(capsys, *argv):
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def write_units(path, n, k):
+    """A matrix file of the first k unit vectors of length n: rank k."""
+    return write_json(path, {"n": n, "rows": ["0" * i + "1" + "0" * (n - 1 - i) for i in range(k)]})
 
 
 def write_record(capsys, path, *argv):
@@ -446,33 +451,53 @@ class TestOracle:
             assert record["spectrum"]["coeffs"] == coeffs
             assert record.get("stderr") == errors
 
-    def test_budget_exit_3(self, capsys, tmp_path):
-        g0 = write_json(
-            tmp_path / "g0.json", {"n": 8, "rows": ["10000000"]}
-        )
+    def test_budget_exit_3(self, capsys, tmp_path, monkeypatch):
+        # n = 8 is admitted.  At n = 8, ranks 6 + 6 fit the word budget and
+        # reach the walk, ranks 7 + 6 exit 3 before any permutation.
+        g0 = write_json(tmp_path / "g0.json", {"n": 8, "rows": ["10000000"]})
         g1 = write_json(tmp_path / "g1.json", {"n": 8, "rows": []})
-        assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive")[0] == 3
+        assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive")[:2] == (0, "1 + x\n")
+        stop_at_the_walk(monkeypatch)
+        g6, g7 = (write_units(tmp_path / f"u{k}.json", 8, k) for k in (6, 7))
+        with pytest.raises(Walked, match="^12$"):
+            run(capsys, "oracle", g6, g6, "--mode", "exhaustive")
+        assert run(capsys, "oracle", g7, g6, "--mode", "exhaustive") == (
+            3,
+            "",
+            "error: 8! permutations x 2^13 codewords (+ 48 words each) exceed the word"
+            " budget (max 330543360)\n",
+        )
 
     @pytest.mark.parametrize(
         ("n1", "k", "code", "message"),
         [
             (9, 0, 2, "error: component lengths differ: 8 vs 9\n"),
-            (8, 9, 3, "error: n=8 exceeds the n! enumeration budget (max 7)\n"),
+            (9, 7, 2, "error: component lengths differ: 8 vs 9\n"),
+            (
+                8,
+                7,
+                3,
+                "error: 8! permutations x 2^14 codewords (+ 48 words each) exceed the word"
+                " budget (max 330543360)\n",
+            ),
         ],
     )
     def test_the_length_check_comes_before_the_budgets(
         self, capsys, tmp_path, n1, k, code, message
     ):
-        # Lengths 8 and 9 differ and exceed the n! budget: the length check
-        # fails first.  With k0+k1 = 18 over the codeword budget too, n = 8
-        # fails the n! budget.
-        g0 = write_json(tmp_path / "g0.json", {"n": 8, "rows": ["10000000"] * k})
-        g1 = write_json(tmp_path / "g1.json", {"n": n1, "rows": ["1" + "0" * (n1 - 1)] * k})
+        # Ranks k + k.  Lengths 8 and 9 differ: the length check fails
+        # first, also at ranks 7 + 7, which at one length n = 8 fail the
+        # word budget.
+        g0 = write_units(tmp_path / "g0.json", 8, k)
+        g1 = write_units(tmp_path / "g1.json", n1, k)
         assert run(capsys, "oracle", g0, g1, "--mode", "exhaustive") == (code, "", message)
 
-    def test_montecarlo_samples_past_the_count_budget_exit_3(self, capsys, tmp_path):
-        # A billion draws of ranks 6 + 6 at n = 7, about 0.3 ms each, are
-        # refused before the first one.
+    def test_montecarlo_samples_past_the_count_budget_exit_3(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Ranks 6 + 6 at n = 7: a billion draws, about 0.3-0.8 ms each, are
+        # refused before the first one.  The most draws that fit the word
+        # budget reach the walk, one more exits 3.
         rows = {
             "g0": ["1000001", "0100011", "0010010", "0001110", "0000101", "1111000"],
             "g1": ["1100101", "0110011", "1011000", "0101110", "1110001", "0010111"],
@@ -480,14 +505,24 @@ class TestOracle:
         g0, g1 = (
             write_json(tmp_path / f"{name}.json", {"n": 7, "rows": r}) for name, r in rows.items()
         )
-        argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "1000000000"]
+        argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples"]
         started = time.perf_counter()
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "1000000000")
         assert time.perf_counter() - started < 5
         assert (code, out) == (3, "")
         assert err == (
-            "error: 1000000000 permutations x 2^12 codewords exceed the count budget"
-            " (max 330301440)\n"
+            "error: 1000000000 permutations x 2^12 codewords (+ 48 words each) exceed"
+            " the word budget (max 330543360)\n"
+        )
+        most = 330543360 // (4096 + 48)
+        stop_at_the_walk(monkeypatch)
+        with pytest.raises(Walked, match="^12$"):
+            run(capsys, *argv, str(most))
+        assert run(capsys, *argv, str(most + 1)) == (
+            3,
+            "",
+            f"error: {most + 1} permutations x 2^12 codewords (+ 48 words each) exceed"
+            " the word budget (max 330543360)\n",
         )
 
     @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
@@ -533,7 +568,7 @@ class TestOracle:
     @pytest.mark.parametrize(
         ("mode", "message"),
         [
-            ("exhaustive", "exceeds the n! enumeration budget"),
+            ("exhaustive", "! permutations x 2^0 codewords (+ 48 words each) exceed the word budget"),
             ("montecarlo", "size out of range"),
         ],
     )

@@ -72,6 +72,21 @@ matrices = st.fixed_dictionaries(
         | json_scalars,
         "rows": st.lists(st.text(alphabet="01x", max_size=7) | json_scalars, max_size=3),
     }
+) | st.sampled_from([8, 11]).flatmap(
+    # Valid rows on both sides of the oracles' word budget: n = 8 is
+    # admitted at these ranks, n = 11 refused at any rank (11! instances).
+    # Up to three distinct rows, repeated up to three times: more rows than
+    # their rank.
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n),
+            "rows": st.builds(
+                lambda rows, times: rows * times,
+                st.lists(st.text(alphabet="01", min_size=n, max_size=n), max_size=3),
+                st.integers(1, 3),
+            ),
+        }
+    )
 )
 
 
@@ -115,7 +130,7 @@ guarded = options(
 ).map(lambda flags: flags if "--max-length" in flags else [*flags, "--max-length", "32"])
 # oracle also takes a guard far past any size, so that matrices declaring
 # n = 2**64 or 10**30 reach BinaryMatrix and the size-out-of-range exit;
-# its own budgets and at most three short rows keep every valid input small.
+# its word budget and at most three distinct rows keep every valid input small.
 oracle_common = options(
     **{
         "--format": st.sampled_from(["poly", "json", "csv", "xml"]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import random_matrix, stacked_identity_generator
+from helpers import Walked, random_matrix, stacked_identity_generator, stop_at_the_walk
 from plotkin_wef import (
     BinaryMatrix,
     BudgetError,
@@ -22,12 +22,38 @@ from plotkin_wef import (
     uniform_permutation,
 )
 from plotkin_wef import oracle
-from plotkin_wef.oracle import _permute_bits, _weights
+from plotkin_wef.codetree import generator_matrix, rm_tree
+from plotkin_wef.enumerator import common_denominator
+from plotkin_wef.oracle import INSTANCE_WORDS, WORD_BUDGET, _permute_bits, _weights
+from plotkin_wef.plotkin import combine_int
 
 G_REP3 = BinaryMatrix.from_strings(["111"])
 G_SPC3 = BinaryMatrix.from_strings(["110", "011"])
 G_100 = BinaryMatrix.from_strings(["100"])
 G_110 = BinaryMatrix.from_strings(["110"])
+# The ranks 6 + 6 pair at n = 7 that CI runs through the installed script.
+CI_G0 = BinaryMatrix.from_strings(
+    ["1000001", "0100011", "0010010", "0001110", "0000101", "1111000"]
+)
+CI_G1 = BinaryMatrix.from_strings(
+    ["1100101", "0110011", "1011000", "0101110", "1110001", "0010111"]
+)
+
+
+def _units(n, k):
+    """k independent rows of length n: the first k unit vectors."""
+    return BinaryMatrix(n, tuple(1 << i for i in range(k)))
+
+
+def _rm(r, m):
+    return generator_matrix(rm_tree(r, m))
+
+
+def refuse_draws(monkeypatch):
+    def refuse(n, rng):
+        raise AssertionError("a permutation was drawn past the budget")
+
+    monkeypatch.setattr(oracle, "uniform_permutation", refuse)
 
 
 class TestBinaryMatrix:
@@ -179,9 +205,20 @@ class TestBruteForce:
             enum = exact_wef_bruteforce(G)
         assert sum(enum.coeffs) == 4
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            exact_wef_bruteforce(BinaryMatrix(30, tuple(1 << i for i in range(25))))
+    def test_budget(self, monkeypatch):
+        # 2^28 + INSTANCE_WORDS walked words fit the budget and 2^29 +
+        # INSTANCE_WORDS do not, whatever the number of rows: 40 rows of
+        # rank 28 are admitted.
+        assert (1 << 28) + INSTANCE_WORDS <= WORD_BUDGET < (1 << 29) + INSTANCE_WORDS
+        stop_at_the_walk(monkeypatch)
+        repeated = BinaryMatrix(30, (_units(30, 28).rows * 2)[:40])
+        assert repeated.rank() == 28
+        with pytest.raises(Walked, match="^28$"):
+            exact_wef_bruteforce(_units(30, 28))
+        with pytest.warns(RankDeficiencyWarning), pytest.raises(Walked, match="^28$"):
+            exact_wef_bruteforce(repeated)
+        with pytest.raises(BudgetError, match=r"^1 code x 2\^29 codewords"):
+            exact_wef_bruteforce(_units(30, 29))
 
 
 class TestExhaustiveEnsemble:
@@ -222,13 +259,48 @@ class TestExhaustiveEnsemble:
                 G0, permuted
             )
 
-    def test_budgets(self):
-        with pytest.raises(BudgetError):
-            ensemble_wef_exhaustive(BinaryMatrix(8, ()), BinaryMatrix(8, ()))
-        with pytest.raises(BudgetError):
-            ensemble_wef_exhaustive(
-                BinaryMatrix(4, (1,) * 9), BinaryMatrix(4, (1,) * 8)
-            )
+    def test_budgets(self, monkeypatch):
+        # Rows count by their rank: 9 + 8 copies of one row are the code of
+        # one row each.  n = 8 is admitted.
+        assert ensemble_wef_exhaustive(
+            BinaryMatrix(4, (1,) * 9), BinaryMatrix(4, (1,) * 8)
+        ) == ensemble_wef_exhaustive(BinaryMatrix(4, (1,)), BinaryMatrix(4, (1,)))
+        zero = BinaryMatrix(8, ())
+        assert ensemble_wef_exhaustive(zero, zero) == WeightEnumerator(16, (1,) + (0,) * 16)
+        # Each boundary from both sides: 8! instances of rank 12 and 10!
+        # of rank 0 fit the budget, rank 13 at n = 8 and rank 0 at n = 11 do
+        # not.  An admitted run stops at its first walk.
+        words = (1 << 12) + INSTANCE_WORDS, (1 << 13) + INSTANCE_WORDS
+        assert math.factorial(8) * words[0] <= WORD_BUDGET < math.factorial(8) * words[1]
+        ranks = 1 + INSTANCE_WORDS
+        assert math.factorial(10) * ranks <= WORD_BUDGET < math.factorial(11) * ranks
+        stop_at_the_walk(monkeypatch)
+        with pytest.raises(Walked, match="^12$"):
+            ensemble_wef_exhaustive(_units(8, 6), _units(8, 6))
+        with pytest.raises(BudgetError, match=r"^8! permutations x 2\^13 codewords"):
+            ensemble_wef_exhaustive(_units(8, 7), _units(8, 6))
+        with pytest.raises(Walked, match="^0$"):
+            ensemble_wef_exhaustive(BinaryMatrix(10, ()), BinaryMatrix(10, ()))
+        with pytest.raises(BudgetError, match=r"^11! permutations x 2\^0 codewords"):
+            ensemble_wef_exhaustive(BinaryMatrix(11, ()), BinaryMatrix(11, ()))
+
+    def test_rm13_squared_at_n8_equals_the_combine(self):
+        # 8! instances of rank 4 + 4: an exhaustive check at n = 8, which
+        # the older limit of n <= 7 refused.
+        G = _rm(1, 3)
+        bf = common_denominator(exact_wef_bruteforce(G).coeffs)
+        exhaustive = ensemble_wef_exhaustive(G, G)
+        assert common_denominator(exhaustive.coeffs) == combine_int(8, bf, bf, 16)
+
+    @pytest.mark.slow
+    def test_rm24_root_equals_the_combine(self):
+        # The root combine of the rm(2, 4) tree, u from RM(1,3) and v from
+        # RM(2,3), ranks 4 + 7 over 8! instances (about 13 s): an exhaustive
+        # check of a length-16 node of an RM tree.
+        G0, G1 = _rm(1, 3), _rm(2, 3)
+        bf0, bf1 = (common_denominator(exact_wef_bruteforce(G).coeffs) for G in (G0, G1))
+        exhaustive = ensemble_wef_exhaustive(G0, G1)
+        assert common_denominator(exhaustive.coeffs) == combine_int(8, bf0, bf1, 16)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -267,8 +339,7 @@ def test_one_mapping_counts_the_code_of_its_generator(seed):
     elif seed % 3 == 2:
         G1 = BinaryMatrix(n, G1.rows + G1.rows[-1:])
     mapping = uniform_permutation(n, rng)
-    budget = oracle.EXHAUSTIVE_MAX_DIMENSION
-    sums, sums_sq = oracle._permutation_sums(G0, G1, 1, iter([mapping]), budget)
+    sums, sums_sq = oracle._permutation_sums(G0, G1, 1, "1 permutation", iter([mapping]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         expected = exact_wef_bruteforce(stacked_identity_generator(G0, G1, mapping))
@@ -300,13 +371,30 @@ class TestMonteCarlo:
         b = ensemble_wef_montecarlo(G_100, G_110, samples=50, seed=31)
         assert a == b
 
-    def test_budgets(self):
+    def test_budgets(self, monkeypatch):
         with pytest.raises(ValueError):
             ensemble_wef_montecarlo(G_100, G_110, samples=0, seed=1)
-        with pytest.raises(BudgetError):
-            ensemble_wef_montecarlo(
-                BinaryMatrix(5, (1,) * 13), BinaryMatrix(5, (1,) * 12), 1, 1
-            )
+        # 13 + 12 copies of one row are rank 1 + 1, so the pair is admitted;
+        # fed the 5! permutations as its draws, it gives the exhaustive value.
+        G0, G1 = BinaryMatrix(5, (1,) * 13), BinaryMatrix(5, (1,) * 12)
+        assert ensemble_wef_montecarlo(G0, G1, 1, 1).spectrum.length == 10
+        with monkeypatch.context() as patched:
+            mappings = itertools.permutations(range(5))
+            patched.setattr(oracle, "uniform_permutation", lambda _n, _rng: next(mappings))
+            estimate = ensemble_wef_montecarlo(G0, G1, samples=120, seed=1)
+        assert estimate.spectrum == ensemble_wef_exhaustive(G0, G1)
+        # The most samples that fit the budget reach the walk, one more is
+        # refused before any draw: ranks 6 + 6, and the zero codes.
+        stop_at_the_walk(monkeypatch)
+        zero = BinaryMatrix(7, ())
+        for G0, G1, rank in ((CI_G0, CI_G1, 12), (zero, zero, 0)):
+            most = WORD_BUDGET // ((1 << rank) + INSTANCE_WORDS)
+            with pytest.raises(Walked, match=f"^{rank}$"):
+                ensemble_wef_montecarlo(G0, G1, most, 0)
+            with monkeypatch.context() as patched:
+                refuse_draws(patched)
+                with pytest.raises(BudgetError, match=rf"^{most + 1} permutations x 2\^{rank} "):
+                    ensemble_wef_montecarlo(G0, G1, most + 1, 0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fed_every_permutation_equals_the_exhaustive_oracle(self, monkeypatch, seed):
@@ -333,49 +421,60 @@ def _ones(n, k):
     return BinaryMatrix(n, (1,) * k)
 
 
+def _refusal(runs):
+    return f"{runs} codewords (+ 48 words each) exceed the word budget (max 330543360)"
+
+
 @pytest.mark.parametrize(
     ("call", "error", "message"),
     [
         (
-            lambda: ensemble_wef_exhaustive(_ones(8, 0), _ones(9, 0)),
+            lambda: ensemble_wef_exhaustive(_units(8, 8), _units(9, 9)),
             ValueError,
             "component lengths differ: 8 vs 9",
         ),
         (
-            lambda: ensemble_wef_exhaustive(_ones(8, 9), _ones(8, 9)),
+            lambda: ensemble_wef_exhaustive(_ones(11, 9), _ones(11, 9)),
             BudgetError,
-            "n=8 exceeds the n! enumeration budget (max 7)",
+            _refusal("11! permutations x 2^2"),
         ),
         (
-            lambda: ensemble_wef_exhaustive(_ones(3, 9), _ones(3, 9)),
+            lambda: ensemble_wef_exhaustive(_rm(2, 3), _rm(2, 3)),
             BudgetError,
-            "k0+k1=18 exceeds the codeword budget (max 16)",
+            _refusal("8! permutations x 2^14"),
         ),
         (
-            lambda: ensemble_wef_montecarlo(_ones(8, 13), _ones(9, 13), 0, 1),
+            lambda: ensemble_wef_montecarlo(_units(8, 8), _units(9, 9), 0, 1),
             ValueError,
             "component lengths differ: 8 vs 9",
         ),
         (
-            lambda: ensemble_wef_montecarlo(_ones(5, 13), _ones(5, 13), 0, 1),
+            lambda: ensemble_wef_montecarlo(_units(30, 15), _units(30, 15), 0, 1),
             ValueError,
             "samples must be >= 1, got 0",
         ),
         (
             lambda: ensemble_wef_montecarlo(_ones(5, 13), _ones(5, 13), 10**9, 1),
             BudgetError,
-            "k0+k1=26 exceeds the codeword budget (max 24)",
+            _refusal("1000000000 permutations x 2^2"),
         ),
         (
-            lambda: ensemble_wef_montecarlo(_ones(7, 6), _ones(7, 6), 10**9, 1),
+            lambda: ensemble_wef_montecarlo(CI_G0, CI_G1, 10**9, 1),
             BudgetError,
-            "1000000000 permutations x 2^12 codewords exceed the count budget (max 330301440)",
+            _refusal("1000000000 permutations x 2^12"),
+        ),
+        (
+            lambda: exact_wef_bruteforce(_units(40, 40)),
+            BudgetError,
+            _refusal("1 code x 2^29"),
         ),
     ],
 )
 def test_the_checks_fail_in_order(call, error, message):
-    # The lengths first, then each oracle's own check (n <= 7, samples >= 1),
-    # then the k0+k1 budget, then the budget of codeword counts.
+    # The lengths first, then the samples (Monte Carlo), then the one
+    # budget, which names a rank of at most log2 WORD_BUDGET + 1 = 29: its
+    # basis walk stops there.  The calls that fail a check before the
+    # budget are past the budget too.
     with pytest.raises(error) as excinfo:
         call()
     assert type(excinfo.value) is error
@@ -383,17 +482,46 @@ def test_the_checks_fail_in_order(call, error, message):
 
 
 def test_codeword_count_budget_refuses_before_any_draw(monkeypatch):
-    # With a budget of 8 counts, two samples of 2^2 codewords fit and three
-    # do not; the refused call draws no permutation.
-    monkeypatch.setattr(oracle, "MAX_CODEWORD_COUNTS", 8)
+    # With a budget of 2 * (2^2 + INSTANCE_WORDS) words, two samples of
+    # rank 2 fit and three do not; the refused call draws no permutation.
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 2 * (4 + INSTANCE_WORDS))
     assert ensemble_wef_montecarlo(G_100, G_110, samples=2, seed=0).spectrum.length == 6
-
-    def refuse(n, rng):
-        raise AssertionError("a permutation was drawn past the budget")
-
-    monkeypatch.setattr(oracle, "uniform_permutation", refuse)
+    refuse_draws(monkeypatch)
     with pytest.raises(BudgetError, match=r"^3 permutations x 2\^2 codewords"):
         ensemble_wef_montecarlo(G_100, G_110, samples=3, seed=0)
+
+
+class CountingRow(int):
+    """A matrix row that counts the row reductions (XORs) made with it."""
+
+    xors = 0
+
+    def __xor__(self, other):
+        CountingRow.xors += 1
+        return CountingRow(int(self) ^ int(other))
+
+
+def test_a_refused_basis_walk_stops_past_log2_of_the_budget(monkeypatch):
+    # Counted in row reductions, not time.  A random 1024 x 1024 matrix has
+    # rank near 1024, and its full basis takes about k^2 / 4 reductions; the
+    # budget refuses it after at most k * (log2 WORD_BUDGET + 1) of them, in
+    # every oracle.
+    rng = random.Random(36)
+    k = 1024
+    G = BinaryMatrix(k, [CountingRow(rng.getrandbits(k)) for _ in range(k)])
+    bound = k * WORD_BUDGET.bit_length()
+    monkeypatch.setattr(CountingRow, "xors", 0)
+    assert G.rank() > 1000
+    assert CountingRow.xors > 5 * bound
+    for call in (
+        lambda: exact_wef_bruteforce(G),
+        lambda: ensemble_wef_exhaustive(G, G),
+        lambda: ensemble_wef_montecarlo(G, G, 1, 0),
+    ):
+        CountingRow.xors = 0
+        with pytest.raises(BudgetError, match=r" x 2\^29 codewords"):
+            call()
+        assert CountingRow.xors <= bound
 
 
 @pytest.mark.slow
