@@ -47,9 +47,11 @@ from .errors import BudgetError, RankDeficiencyWarning
 # and a Monte Carlo one (a Fisher-Yates draw at n <= 8 instead) about 6.6 us,
 # so one instance costs INSTANCE_WORDS words, the dearer of the two.  The
 # budget admits the exhaustive oracle at n = 7 up to rank 16, about 40 s.
+# That time holds for small n only: INSTANCE_WORDS does not grow with n,
+# though a draw and the 2n + 1 sums of an instance do, so at n = 2048 the
+# most Monte Carlo samples of rank 0 that the budget admits take hours.
 INSTANCE_WORDS = 48
 WORD_BUDGET = math.factorial(7) * ((1 << 16) + INSTANCE_WORDS)
-_DROP_BITS = str.maketrans("", "", "01")
 
 
 class BinaryMatrix(Value):
@@ -83,13 +85,10 @@ class BinaryMatrix(Value):
             n = len(strings[0])
         rows = []
         for s in strings:
-            # A text row is checked in one pass: less its 0s and 1s it is
-            # empty.  A row may also be a list of "0"/"1" strings, checked item
-            # by item and then joined.
-            is_text = isinstance(s, str)
-            if len(s) != n or (s.translate(_DROP_BITS) if is_text else set(s) - {"0", "1"}):
+            if len(s) != n or set(s) - {"0", "1"}:
                 raise ValueError(f"bad row {s!r}: need {n} characters from 0/1")
-            rows.append(int((s if is_text else "".join(s))[::-1] or "0", 2))
+            # Joined: a row may also be a list of "0"/"1" strings.
+            rows.append(int("".join(s)[::-1] or "0", 2))
         return cls(n, tuple(rows))
 
     def to_strings(self) -> list[str]:
