@@ -23,10 +23,10 @@ prints its value.
 Spectra stay in integer form, ``(den, nums)``, from input to output:
 combine and bound parse their spectrum files straight into that form
 (enumerator.spectrum_from_json, which also gives the canonical echo of the
-input: each distinct digit text, "p" or "p/q", is read with one int(), and
-the texts over a shared denominator are reduced together, with one gcd
-with it, a plain integer's denominator 1 needing none;
-combine --partial W echoes the integer texts above W unconverted), and
+input: a plain integer "p" is echoed from its text and converted with one
+int() only at a weight that is kept, so combine --partial W converts none
+above W; each distinct "p/q" is read with one int(), and the texts over a
+shared denominator are reduced together, with one gcd with it), and
 enumerator.spectrum_to_json reduces each nonzero coefficient to lowest
 terms only when it is written out; bound sums its union bound over that
 form too.  Fractions are built only by oracle and by bound for its --rate,
@@ -438,8 +438,7 @@ def _main(argv) -> int:
         print("error: out of memory", file=sys.stderr)
         return 3
     except OverflowError as exc:
-        # A size no list index can hold, e.g. a guard raised to 2**65 and a
-        # matrix declaring n = 2**64 for the Monte Carlo oracle.
+        # A size no list index can hold, under a guard raised past it.
         print(f"error: size out of range ({exc})", file=sys.stderr)
         return 3
     except RecursionError:

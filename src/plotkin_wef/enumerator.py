@@ -10,10 +10,10 @@ Spectrum JSON and the integer form ``(den, nums)`` (coefficient w is
 nums[w] / den) convert both ways without a Fraction per coefficient:
 ``spectrum_from_json`` reads it, with the canonical JSON echo, and
 ``spectrum_to_json`` is the one writer of that canonical JSON.  The reader
-takes every "p" or "p/q" text in ASCII digits by one path: it files the
-text under its denominator digits, a plain integer as the q = 1 group, and
-reduces each group together (``_reduce_groups``); every other value is read
-as ``_as_fraction`` reads it.
+files a plain integer "p" in ASCII digits as its canonical text, converted
+only at a weight it keeps, and a "p/q" under its denominator digits, each
+group reduced together (``_reduce_groups``); every other value is read as
+``_as_fraction`` reads it.
 ``WeightEnumerator.from_json_dict`` and ``to_json_dict`` wrap the two.
 Fractions are built here alone: ``fractions_over`` views the integer form
 as Fractions, ``common_denominator`` is its inverse, and ``_fraction_class``
@@ -194,13 +194,12 @@ def _text(p: int, q: int) -> str:
 
 
 def _reduce_groups(groups: dict) -> dict:
-    """The term (p, q, text) of every digit text in ``groups``, by text:
-    p / q in lowest terms and its canonical text str(Fraction(p, q)).
+    """The term (p, q, text) of every "p/q" digit text in ``groups``, by
+    text: p / q in lowest terms and its canonical text str(Fraction(p, q)).
     ``groups[den]`` maps each text over the nonzero denominator digits
-    ``den`` to its numerator digits; a plain integer "p" is filed under
-    ``b""``, q = 1.  The input text is kept when it is already canonical
-    (in lowest terms, no leading zeros, no denominator "1"), and written
-    by ``_text`` otherwise.
+    ``den`` to its numerator digits.  The input text is kept when it is
+    already canonical (in lowest terms, no leading zeros, no denominator
+    "1"), and written by ``_text`` otherwise.
 
     The texts over one q > 1 need one gcd with q in all: with r = p mod q
     for each numerator p, G = gcd(q, prod r mod q) equals gcd(q, prod p),
@@ -208,19 +207,16 @@ def _reduce_groups(groups: dict) -> dict:
     gcd(r, G).  G = 1, the usual case, leaves every text in lowest terms;
     otherwise each gcd is taken with G, not q.  A numerator r = 0 makes
     G = q, and a group of one text gets G = gcd(q, p mod q) = gcd(p, q).
-    Over q = 1 every text is in lowest terms, and the batch is skipped.
     """
     reduced = {}
     for den, texts in groups.items():
-        q = int(den) if den else 1
-        rs = ps = [*map(int, texts.values())]
-        g = 1
-        if q != 1:
-            rs = [p % q for p in ps]
-            prod = 1
-            for r in rs:
-                prod = prod * r % q
-            g = math.gcd(q, prod)
+        q = int(den)
+        ps = [*map(int, texts.values())]
+        rs = [p % q for p in ps]
+        prod = 1
+        for r in rs:
+            prod = prod * r % q
+        g = math.gcd(q, prod)
         canonical = den != b"1" and not den.startswith(b"0")
         for (text, num), p, r in zip(texts.items(), ps, rs):
             gcd = 1 if g == 1 else math.gcd(r, g)
@@ -245,19 +241,21 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     other types TypeError.  A later key for the same weight overrides an
     earlier one.
 
-    One pass over the keys validates every value, so that the errors come
-    in key order, but converts no digit text: every "p" or "p/q" in ASCII
-    digits, with a nonzero denominator and within Python's limit on the
-    digits int() reads, takes one path.  Each distinct one is filed under
-    its denominator text, a plain integer under ``b""`` (q = 1), and the
-    texts of each denominator are reduced together after the pass
-    (``_reduce_groups``).  So a digit text costs one int() however often it
-    repeats, as the values of a palindromic spectrum do, and each
-    denominator q > 1 one int(), a batch of products mod q and one gcd with
-    q, whether it holds one text or many; a text needs a gcd of its own
-    only when that batch's gcd is not 1.  Every other value is converted
-    where it stands, once per key (``_exact_term``).  Each ASCII text is
-    encoded to bytes once per key.
+    One pass over the keys validates every value, so that the errors come in
+    key order, but converts no digit text.  A text in ASCII digits within
+    Python's limit on the digits int() reads is filed by one rule: a plain
+    integer "p" becomes the term (None, 1, text), text being "p" without
+    leading zeros ("0" for zero), and a "p/q" with a nonzero denominator is
+    filed under its denominator text, the texts of each denominator reduced
+    together after the pass (``_reduce_groups``).  So each distinct "p/q"
+    costs one int() however often it repeats, as the values of a palindromic
+    spectrum do, and each denominator one int(), a batch of products mod q
+    and one gcd with q, whether it holds one text or many; a text needs a
+    gcd of its own only when that batch's gcd is not 1.  Every other value
+    is converted where it stands, once per key (``_exact_term``).  The pass
+    in weight order after the key loop reads zero and sign from each term's
+    canonical text, and converts a plain integer with one int() only where
+    it keeps it.
 
     With ``max_weight`` W, only the coefficients 0..W are read: nums[w] is 0
     for w > W and ``den`` is the lcm over the weights up to W.  Every value
@@ -281,7 +279,7 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
     # Python's limit on the digits int() reads, 0 when lifted.
     limit = sys.get_int_max_str_digits()
     terms = {}
-    # The digit texts, by denominator text, as _reduce_groups takes them.
+    # The "p/q" digit texts, by denominator text, as _reduce_groups takes them.
     groups = {}
     for key, value in raw.items():
         try:
@@ -295,40 +293,37 @@ def spectrum_from_json(obj, max_weight: int | None = None) -> tuple[int, list[in
                 raise ValueError(f"coefficient of x^{w} is a float; exact values only")
             terms[w] = _exact_term(value)
             continue
-        # The bytes of an ASCII text, encoded once.  bytes.isdigit accepts
-        # exactly 0-9, and is several times faster than str.isdigit.
-        data = value.encode() if value.isascii() else None
-        if w > top and data is not None and data.isdigit():
-            # Echoed only: 1 stands for any positive numerator.  A text
-            # longer than the limit raises here as it does below W.
-            if limit and len(value) > limit:
-                int(value)
-            text = value.lstrip("0")
-            terms[w] = (1, 1, text) if text else (0, 1, "0")
-            continue
-        if data is not None and (not limit or len(value) <= limit):
-            # Within the limit int() raises on neither part, so a filed
-            # text holds back no error.  A zero denominator is left to
-            # _exact_term, which raises in key order.
+        # bytes.isdigit accepts exactly 0-9, and is several times faster
+        # than str.isdigit.  Within the limit int() raises on no part of a
+        # text, so a filed text holds back no error.
+        if value.isascii() and (not limit or len(value) <= limit):
+            data = value.encode()
+            if data.isdigit():
+                # Its canonical text; int() only if it is kept.
+                terms[w] = None, 1, value.lstrip("0") or "0"
+                continue
             num, slash, den = data.partition(b"/")
-            if num.isdigit() and (not slash or den.isdigit() and den.strip(b"0")):
+            # A zero denominator is left to _exact_term, which raises in
+            # key order.
+            if num.isdigit() and den.isdigit() and den.strip(b"0"):
                 groups.setdefault(den, {})[value] = num
                 terms[w] = value
                 continue
         terms[w] = _exact_term(value)
     # Filed texts stand for their terms until now.  One pass in weight
-    # order checks the signs, so the lowest negative weight raises, writes
-    # the echo and keeps the nonzero terms up to W.
+    # order reads zero and sign from each canonical text, so the lowest
+    # negative weight raises, writes the echo and keeps the nonzero terms
+    # up to W.
     reduced = _reduce_groups(groups)
     coeffs, kept = CanonicalCoeffs(), []
     for w, term in sorted(terms.items()):
         p, q, text = reduced[term] if type(term) is str else term
-        if p:
-            if p < 0:
+        if text != "0":
+            if text[0] == "-":
                 raise ValueError(f"coefficient of x^{w} is negative: {text}")
             coeffs[str(w)] = text
             if w <= top:
-                kept.append((w, p, q))
+                kept.append((w, int(text) if p is None else p, q))
     # Each denominator once: a palindromic spectrum repeats every one.
     den = math.lcm(*{q for _, _, q in kept})
     for w, p, q in kept:

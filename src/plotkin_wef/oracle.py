@@ -13,10 +13,11 @@ feed it: ``ensemble_wef_exhaustive`` all n! of them,
 ``ensemble_wef_montecarlo`` seeded draws of ``uniform_permutation``.
 
 Every oracle run fits one budget, counted in the words it walks: ``count``
-instances of summed rank r walk count * (2^r + INSTANCE_WORDS) words, count
-being 1 (brute force), n! (exhaustive) or the samples (Monte Carlo).  One
-check, ``_budgeted_bases``, refuses a run past WORD_BUDGET with BudgetError
-before a permutation is drawn or a word walked.
+instances of summed rank r at length n walk count * (2^r + INSTANCE_WORDS +
+COORDINATE_WORDS * n) words, count being 1 (brute force), n! (exhaustive) or
+the samples (Monte Carlo).  One check, ``_budgeted_bases``, refuses a run
+past WORD_BUDGET with BudgetError before a permutation is drawn or a word
+walked.
 
 ``macwilliams`` is an oracle of another kind: it checks a whole spectrum
 against the spectrum of the dual ensemble (codetree.dual_tree), at any length.
@@ -45,13 +46,15 @@ from .errors import BudgetError, RankDeficiencyWarning
 # on a 2-core VM with Python 3.11.7: a walked word takes 0.12-0.14 us, an
 # exhaustive instance (the next permutation, its basis, the sums) 2.3-2.9 us
 # and a Monte Carlo one (a Fisher-Yates draw at n <= 8 instead) about 6.6 us,
-# so one instance costs INSTANCE_WORDS words, the dearer of the two.  The
-# budget admits the exhaustive oracle at n = 7 up to rank 16, about 40 s.
-# That time holds for small n only: INSTANCE_WORDS does not grow with n,
-# though a draw and the 2n + 1 sums of an instance do, so at n = 2048 the
-# most Monte Carlo samples of rank 0 that the budget admits take hours.
+# so one instance costs INSTANCE_WORDS words, the dearer of the two.  Its
+# O(n) part, the n - 1 draws of a Fisher-Yates loop and the 2n + 1 sums,
+# costs COORDINATE_WORDS words a coordinate (Monte Carlo on zero codes:
+# 3.9-4.6 words a coordinate at n = 64..2048, 1.2 ms a sample at n = 2048).
+# The budget admits the exhaustive oracle at n = 7 up to rank 16, about 40 s,
+# and bounds a run at about 40-50 s at any n.
 INSTANCE_WORDS = 48
-WORD_BUDGET = math.factorial(7) * ((1 << 16) + INSTANCE_WORDS)
+COORDINATE_WORDS = 4
+WORD_BUDGET = math.factorial(7) * ((1 << 16) + INSTANCE_WORDS + COORDINATE_WORDS * 7)
 
 
 class BinaryMatrix(Value):
@@ -168,10 +171,11 @@ def _weights(basis, n: int) -> list[int]:
 
 def _budgeted_bases(count: int, runs: str, *matrices: BinaryMatrix) -> list[tuple[int, ...]]:
     """The row-space bases of ``matrices``, once a run of ``count``
-    instances of their summed rank r fits the one budget: count * (2^r +
-    INSTANCE_WORDS) walked words, at most WORD_BUDGET.  Otherwise
-    BudgetError, whose message names the run as ``runs``; every oracle
-    checks this before it draws a permutation or walks a word.
+    instances of their summed rank r at their length n fits the one budget:
+    count * (2^r + INSTANCE_WORDS + COORDINATE_WORDS * n) walked words, at
+    most WORD_BUDGET.  Otherwise BudgetError, whose message names the run as
+    ``runs``; every oracle checks this before it draws a permutation or
+    walks a word.
 
     The basis walks stop once r passes log2 WORD_BUDGET, past which every
     run is refused, so a refusal costs O(k log2 WORD_BUDGET) row reductions
@@ -181,10 +185,11 @@ def _budgeted_bases(count: int, runs: str, *matrices: BinaryMatrix) -> list[tupl
     for G in matrices:
         bases.append(G.row_space_basis(WORD_BUDGET.bit_length() - 1 - rank))
         rank += len(bases[-1])
-    if count * ((1 << rank) + INSTANCE_WORDS) > WORD_BUDGET:
+    n = matrices[0].n
+    if count * ((1 << rank) + INSTANCE_WORDS + COORDINATE_WORDS * n) > WORD_BUDGET:
         raise BudgetError(
-            f"{runs} x 2^{rank} codewords (+ {INSTANCE_WORDS} words each) exceed"
-            f" the word budget (max {WORD_BUDGET})"
+            f"{runs} x 2^{rank} codewords (+ {INSTANCE_WORDS} + {COORDINATE_WORDS} x {n}"
+            f" words each) exceed the word budget (max {WORD_BUDGET})"
         )
     return bases
 
@@ -274,8 +279,9 @@ def ensemble_wef_montecarlo(
     before it is counted, so the result is deterministic given ``seed`` (see
     the module notes on the pinned generator).  Per-weight standard errors
     are sample-std/sqrt(samples), with 0.0 reported when samples == 1.
-    A run of samples * (2^(rank0+rank1) + INSTANCE_WORDS) walked words
-    above WORD_BUDGET is refused before the first draw.
+    A run of samples * (2^(rank0+rank1) + INSTANCE_WORDS +
+    COORDINATE_WORDS * n) walked words above WORD_BUDGET is refused before
+    the first draw.
     """
     n = _length(G0, G1)
     if samples < 1:

@@ -2,7 +2,8 @@
 examples a property with no deadline, for a long run of chosen tests:
 
     PYTHONPATH=src python -m pytest tests/test_enumerator.py -q \\
-        -k "spectrum_from_json or group_reduction or inverted" --hypothesis-profile=deep
+        -k "spectrum_from_json or group_reduction or inverted or converted_only" \\
+        --hypothesis-profile=deep
 """
 
 from hypothesis import settings

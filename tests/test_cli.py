@@ -464,8 +464,8 @@ class TestOracle:
         assert run(capsys, "oracle", g7, g6, "--mode", "exhaustive") == (
             3,
             "",
-            "error: 8! permutations x 2^13 codewords (+ 48 words each) exceed the word"
-            " budget (max 330543360)\n",
+            "error: 8! permutations x 2^13 codewords (+ 48 + 4 x 8 words each) exceed"
+            " the word budget (max 330684480)\n",
         )
 
     @pytest.mark.parametrize(
@@ -477,8 +477,8 @@ class TestOracle:
                 8,
                 7,
                 3,
-                "error: 8! permutations x 2^14 codewords (+ 48 words each) exceed the word"
-                " budget (max 330543360)\n",
+                "error: 8! permutations x 2^14 codewords (+ 48 + 4 x 8 words each) exceed"
+                " the word budget (max 330684480)\n",
             ),
         ],
     )
@@ -497,7 +497,8 @@ class TestOracle:
     ):
         # Ranks 6 + 6 at n = 7: a billion draws, about 0.3-0.8 ms each, are
         # refused before the first one.  The most draws that fit the word
-        # budget reach the walk, one more exits 3.
+        # budget reach the walk, one more exits 3 before any draw: at n = 7,
+        # and for zero codes at n = 2048, where a draw takes about 1.2 ms.
         rows = {
             "g0": ["1000001", "0100011", "0010010", "0001110", "0000101", "1111000"],
             "g1": ["1100101", "0110011", "1011000", "0101110", "1110001", "0010111"],
@@ -511,19 +512,25 @@ class TestOracle:
         assert time.perf_counter() - started < 5
         assert (code, out) == (3, "")
         assert err == (
-            "error: 1000000000 permutations x 2^12 codewords (+ 48 words each) exceed"
-            " the word budget (max 330543360)\n"
+            "error: 1000000000 permutations x 2^12 codewords (+ 48 + 4 x 7 words each) exceed"
+            " the word budget (max 330684480)\n"
         )
-        most = 330543360 // (4096 + 48)
+        zero = write_json(tmp_path / "zero.json", {"n": 2048, "rows": []})
         stop_at_the_walk(monkeypatch)
-        with pytest.raises(Walked, match="^12$"):
-            run(capsys, *argv, str(most))
-        assert run(capsys, *argv, str(most + 1)) == (
-            3,
-            "",
-            f"error: {most + 1} permutations x 2^12 codewords (+ 48 words each) exceed"
-            " the word budget (max 330543360)\n",
-        )
+        for g0, g1, n, rank, most in ((g0, g1, 7, 12, 79262), (zero, zero, 2048, 0, 40126)):
+            assert most == 330684480 // ((1 << rank) + 48 + 4 * n)
+            argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples"]
+            with pytest.raises(Walked, match=f"^{rank}$"):
+                run(capsys, *argv, str(most))
+            with monkeypatch.context() as patched:
+                # A draw would call None, and the run would not exit 3.
+                patched.setattr("plotkin_wef.oracle.uniform_permutation", None)
+                assert run(capsys, *argv, str(most + 1)) == (
+                    3,
+                    "",
+                    f"error: {most + 1} permutations x 2^{rank} codewords (+ 48 + 4 x {n} words"
+                    " each) exceed the word budget (max 330684480)\n",
+                )
 
     @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
     def test_declared_length_guard_runs_before_building(
@@ -568,8 +575,8 @@ class TestOracle:
     @pytest.mark.parametrize(
         ("mode", "message"),
         [
-            ("exhaustive", "! permutations x 2^0 codewords (+ 48 words each) exceed the word budget"),
-            ("montecarlo", "size out of range"),
+            ("exhaustive", "! permutations x 2^0 codewords (+ 48 + 4 x "),
+            ("montecarlo", " permutations x 2^0 codewords (+ 48 + 4 x "),
         ],
     )
     @pytest.mark.parametrize("n", [2**64, 10**30])
@@ -577,14 +584,15 @@ class TestOracle:
         self, capsys, tmp_path, mode, message, n
     ):
         # A guard of 10^40 lets the file through the length check, so it
-        # reaches BinaryMatrix and the enumeration or sampling code.
+        # reaches BinaryMatrix and the word budget, which refuses the 4
+        # words a coordinate of a single instance before any draw.
         g = write_json(tmp_path / "g.json", {"n": n, "rows": []})
         code, out, err = run(
             capsys, "oracle", g, g, "--mode", mode, "--max-length", str(10**40)
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
-        assert message in err
+        assert f"{message}{n} words each) exceed the word budget" in err
 
 class TestBound:
     def test_value_matches_library(self, capsys, tmp_path):

@@ -129,8 +129,8 @@ guarded = options(
     }
 ).map(lambda flags: flags if "--max-length" in flags else [*flags, "--max-length", "32"])
 # oracle also takes a guard far past any size, so that matrices declaring
-# n = 2**64 or 10**30 reach BinaryMatrix and the size-out-of-range exit;
-# its word budget and at most three distinct rows keep every valid input small.
+# n = 2**64 or 10**30 reach BinaryMatrix and the word budget's exit; that
+# budget and at most three distinct rows keep every valid input small.
 oracle_common = options(
     **{
         "--format": st.sampled_from(["poly", "json", "csv", "xml"]),

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import any_int_digits
-from plotkin_wef import BudgetError, WeightEnumerator, format_poly
+from plotkin_wef import BudgetError, WeightEnumerator, enumerator, format_poly
 from plotkin_wef.cli import _record
 from plotkin_wef.enumerator import (
     _reduce_groups,
@@ -257,19 +258,88 @@ def test_spectrum_from_json_matches_the_fraction_path(obj, max_weight):
     assert WeightEnumerator.from_json_dict(obj).to_json_dict() == echo
 
 
+@st.composite
+def plain_integer_json(draw):
+    """(obj, W): a spectrum of plain digit texts, leading zeros, zeros and
+    repeated texts among them, and W = None, -1 or a weight in 0..n.  Every
+    nonzero value is at least 10^6, so its text is never a weight key's."""
+    n = draw(st.integers(0, 12))
+    pool = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["", "0", "000"]), st.integers(10**6, 10**30)).map(
+                lambda zp: zp[0] + str(zp[1])
+            )
+            | st.sampled_from(["0", "00", "000"]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):
+        coeffs = {str(w): pool[min(w, n - w) % len(pool)] for w in range(n + 1)}
+    else:
+        weights = st.integers(0, n).flatmap(lambda w: st.sampled_from([str(w), f"0{w}"]))
+        coeffs = draw(st.dictionaries(weights, st.sampled_from(pool), max_size=n + 3))
+    return {"n": n, "coeffs": coeffs}, draw(st.none() | st.just(-1) | st.integers(0, n))
+
+
+class IntCalls(type):
+    """The type of ``int_spy``: an int passes isinstance as for int."""
+
+    def __instancecheck__(cls, value):
+        return isinstance(value, int)
+
+
+class int_spy(metaclass=IntCalls):
+    """Stands in for int in a module: records each argument in ``calls``
+    and returns what int returns."""
+
+    calls: list = []
+
+    def __new__(cls, value, *args):
+        cls.calls.append(value)
+        return int(value, *args)
+
+
+@given(plain_integer_json())
+@example(({"n": 4, "coeffs": {"0": "01000000", "1": "000", "2": "1000000", "04": "0"}}, 1))
+@example(({"n": 3, "coeffs": {"0": "02000000", "3": "02000000", "1": "0"}}, -1))
+def test_a_plain_integer_is_converted_only_where_it_is_kept(case):
+    obj, max_weight = case
+    top = obj["n"] if max_weight is None else max_weight
+    # The last value of each weight, as its canonical text.
+    texts = {int(key): value.lstrip("0") or "0" for key, value in obj["coeffs"].items()}
+    kept = {text for w, text in texts.items() if w <= top and text != "0"}
+    above = {text for w, text in texts.items() if w > top} - kept
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(int_spy, "calls", [])
+        patched.setattr(enumerator, "int", int_spy, raising=False)
+        den, nums, echo = spectrum_from_json(obj, max_weight)
+        calls = int_spy.calls
+    # Each weight key is read with int(); every other call converts a value,
+    # as str or as bytes.
+    texts_of = (value.decode() if type(value) is bytes else value for value in calls)
+    converted = Counter(texts_of) - Counter(obj["coeffs"].keys())
+    values = {value.lstrip("0") or "0" for value in converted.elements()}
+    assert values <= kept
+    assert not values & above
+    assert den == 1
+    assert nums == [int(texts.get(w, "0")) if w <= top else 0 for w in range(obj["n"] + 1)]
+    assert echo["coeffs"] == {str(w): texts[w] for w in sorted(texts) if texts[w] != "0"}
+
+
 # Denominator texts as the parser files them: q, zero-padded or not, and
-# for q = 1 also "1", "01" and "", under which a plain integer "p" is filed.
-denominator_texts = st.sampled_from(["", "1", "01"]) | st.tuples(
+# for q = 1 also "1" and "01".  A plain integer "p" is filed under none.
+denominator_texts = st.sampled_from(["1", "01"]) | st.tuples(
     st.sampled_from(["", "0"]), shared_denominators
 ).map(lambda zq: zq[0] + str(zq[1]))
 
 
 @given(denominator_texts, st.data())
 def test_group_reduction_matches_a_gcd_per_text(den, data):
-    q = int(den) if den else 1
+    q = int(den)
     padded = st.tuples(st.sampled_from(["", "00"]), numerators_over(q))
     nums = data.draw(st.lists(padded.map(lambda zp: zp[0] + str(zp[1])), min_size=1, max_size=12))
-    texts = {f"{num}/{den}" if den else num: num.encode() for num in nums}
+    texts = {f"{num}/{den}": num.encode() for num in nums}
     reduced = _reduce_groups({den.encode(): texts})
     assert reduced.keys() == texts.keys()
     for text, num in texts.items():

@@ -24,7 +24,13 @@ from plotkin_wef import (
 from plotkin_wef import oracle
 from plotkin_wef.codetree import generator_matrix, rm_tree
 from plotkin_wef.enumerator import common_denominator
-from plotkin_wef.oracle import INSTANCE_WORDS, WORD_BUDGET, _permute_bits, _weights
+from plotkin_wef.oracle import (
+    COORDINATE_WORDS,
+    INSTANCE_WORDS,
+    WORD_BUDGET,
+    _permute_bits,
+    _weights,
+)
 from plotkin_wef.plotkin import combine_int
 
 G_REP3 = BinaryMatrix.from_strings(["111"])
@@ -206,10 +212,11 @@ class TestBruteForce:
         assert sum(enum.coeffs) == 4
 
     def test_budget(self, monkeypatch):
-        # 2^28 + INSTANCE_WORDS walked words fit the budget and 2^29 +
-        # INSTANCE_WORDS do not, whatever the number of rows: 40 rows of
-        # rank 28 are admitted.
-        assert (1 << 28) + INSTANCE_WORDS <= WORD_BUDGET < (1 << 29) + INSTANCE_WORDS
+        # At n = 30, 2^28 + INSTANCE_WORDS + 30 * COORDINATE_WORDS walked
+        # words fit the budget and 2^29 + the same do not, whatever the
+        # number of rows: 40 rows of rank 28 are admitted.
+        words = INSTANCE_WORDS + 30 * COORDINATE_WORDS
+        assert (1 << 28) + words <= WORD_BUDGET < (1 << 29) + words
         stop_at_the_walk(monkeypatch)
         repeated = BinaryMatrix(30, (_units(30, 28).rows * 2)[:40])
         assert repeated.rank() == 28
@@ -268,19 +275,23 @@ class TestExhaustiveEnsemble:
         zero = BinaryMatrix(8, ())
         assert ensemble_wef_exhaustive(zero, zero) == WeightEnumerator(16, (1,) + (0,) * 16)
         # Each boundary from both sides: 8! instances of rank 12 and 10!
-        # of rank 0 fit the budget, rank 13 at n = 8 and rank 0 at n = 11 do
-        # not.  An admitted run stops at its first walk.
-        words = (1 << 12) + INSTANCE_WORDS, (1 << 13) + INSTANCE_WORDS
-        assert math.factorial(8) * words[0] <= WORD_BUDGET < math.factorial(8) * words[1]
-        ranks = 1 + INSTANCE_WORDS
-        assert math.factorial(10) * ranks <= WORD_BUDGET < math.factorial(11) * ranks
+        # of rank 1 fit the budget, rank 13 at n = 8, rank 2 at n = 10 and
+        # rank 0 at n = 11 do not.  An admitted run stops at its first walk.
+        def words(n, rank):
+            return (1 << rank) + INSTANCE_WORDS + COORDINATE_WORDS * n
+
+        assert math.factorial(8) * words(8, 12) <= WORD_BUDGET < math.factorial(8) * words(8, 13)
+        assert math.factorial(10) * words(10, 1) <= WORD_BUDGET < math.factorial(10) * words(10, 2)
+        assert WORD_BUDGET < math.factorial(11) * words(11, 0)
         stop_at_the_walk(monkeypatch)
         with pytest.raises(Walked, match="^12$"):
             ensemble_wef_exhaustive(_units(8, 6), _units(8, 6))
         with pytest.raises(BudgetError, match=r"^8! permutations x 2\^13 codewords"):
             ensemble_wef_exhaustive(_units(8, 7), _units(8, 6))
-        with pytest.raises(Walked, match="^0$"):
-            ensemble_wef_exhaustive(BinaryMatrix(10, ()), BinaryMatrix(10, ()))
+        with pytest.raises(Walked, match="^1$"):
+            ensemble_wef_exhaustive(_units(10, 1), BinaryMatrix(10, ()))
+        with pytest.raises(BudgetError, match=r"^10! permutations x 2\^2 codewords"):
+            ensemble_wef_exhaustive(_units(10, 1), _units(10, 1))
         with pytest.raises(BudgetError, match=r"^11! permutations x 2\^0 codewords"):
             ensemble_wef_exhaustive(BinaryMatrix(11, ()), BinaryMatrix(11, ()))
 
@@ -384,11 +395,12 @@ class TestMonteCarlo:
             estimate = ensemble_wef_montecarlo(G0, G1, samples=120, seed=1)
         assert estimate.spectrum == ensemble_wef_exhaustive(G0, G1)
         # The most samples that fit the budget reach the walk, one more is
-        # refused before any draw: ranks 6 + 6, and the zero codes.
+        # refused before any draw: ranks 6 + 6 at n = 7, and the zero codes
+        # at n = 7 and n = 2048, where a sample takes about 1.2 ms.
         stop_at_the_walk(monkeypatch)
-        zero = BinaryMatrix(7, ())
-        for G0, G1, rank in ((CI_G0, CI_G1, 12), (zero, zero, 0)):
-            most = WORD_BUDGET // ((1 << rank) + INSTANCE_WORDS)
+        zero, wide = BinaryMatrix(7, ()), BinaryMatrix(2048, ())
+        for G0, G1, rank in ((CI_G0, CI_G1, 12), (zero, zero, 0), (wide, wide, 0)):
+            most = WORD_BUDGET // ((1 << rank) + INSTANCE_WORDS + COORDINATE_WORDS * G0.n)
             with pytest.raises(Walked, match=f"^{rank}$"):
                 ensemble_wef_montecarlo(G0, G1, most, 0)
             with monkeypatch.context() as patched:
@@ -421,8 +433,8 @@ def _ones(n, k):
     return BinaryMatrix(n, (1,) * k)
 
 
-def _refusal(runs):
-    return f"{runs} codewords (+ 48 words each) exceed the word budget (max 330543360)"
+def _refusal(runs, n):
+    return f"{runs} codewords (+ 48 + 4 x {n} words each) exceed the word budget (max 330684480)"
 
 
 @pytest.mark.parametrize(
@@ -436,12 +448,12 @@ def _refusal(runs):
         (
             lambda: ensemble_wef_exhaustive(_ones(11, 9), _ones(11, 9)),
             BudgetError,
-            _refusal("11! permutations x 2^2"),
+            _refusal("11! permutations x 2^2", 11),
         ),
         (
             lambda: ensemble_wef_exhaustive(_rm(2, 3), _rm(2, 3)),
             BudgetError,
-            _refusal("8! permutations x 2^14"),
+            _refusal("8! permutations x 2^14", 8),
         ),
         (
             lambda: ensemble_wef_montecarlo(_units(8, 8), _units(9, 9), 0, 1),
@@ -456,17 +468,17 @@ def _refusal(runs):
         (
             lambda: ensemble_wef_montecarlo(_ones(5, 13), _ones(5, 13), 10**9, 1),
             BudgetError,
-            _refusal("1000000000 permutations x 2^2"),
+            _refusal("1000000000 permutations x 2^2", 5),
         ),
         (
             lambda: ensemble_wef_montecarlo(CI_G0, CI_G1, 10**9, 1),
             BudgetError,
-            _refusal("1000000000 permutations x 2^12"),
+            _refusal("1000000000 permutations x 2^12", 7),
         ),
         (
             lambda: exact_wef_bruteforce(_units(40, 40)),
             BudgetError,
-            _refusal("1 code x 2^29"),
+            _refusal("1 code x 2^29", 40),
         ),
     ],
 )
@@ -482,9 +494,10 @@ def test_the_checks_fail_in_order(call, error, message):
 
 
 def test_codeword_count_budget_refuses_before_any_draw(monkeypatch):
-    # With a budget of 2 * (2^2 + INSTANCE_WORDS) words, two samples of
-    # rank 2 fit and three do not; the refused call draws no permutation.
-    monkeypatch.setattr(oracle, "WORD_BUDGET", 2 * (4 + INSTANCE_WORDS))
+    # With a budget of 2 * (2^2 + INSTANCE_WORDS + 3 * COORDINATE_WORDS)
+    # words, two samples of rank 2 at n = 3 fit and three do not; the refused
+    # call draws no permutation.
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 2 * (4 + INSTANCE_WORDS + 3 * COORDINATE_WORDS))
     assert ensemble_wef_montecarlo(G_100, G_110, samples=2, seed=0).spectrum.length == 6
     refuse_draws(monkeypatch)
     with pytest.raises(BudgetError, match=r"^3 permutations x 2\^2 codewords"):
