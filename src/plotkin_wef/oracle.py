@@ -43,16 +43,15 @@ from .enumerator import Value, WeightEnumerator, fractions_over, is_int
 from .errors import BudgetError, RankDeficiencyWarning
 
 # The one budget of every oracle run, in walked words.  Measured in-process
-# on a 2-core VM with Python 3.11.7: a walked word takes 0.12-0.14 us, an
-# exhaustive instance (the next permutation, its basis, the sums) 2.3-2.9 us
-# and a Monte Carlo one (a Fisher-Yates draw at n <= 8 instead) about 6.6 us,
-# so one instance costs INSTANCE_WORDS words, the dearer of the two.  Its
-# O(n) part, the n - 1 draws of a Fisher-Yates loop and the 2n + 1 sums,
-# costs COORDINATE_WORDS words a coordinate (Monte Carlo on zero codes:
-# 3.9-4.6 words a coordinate at n = 64..2048, 1.2 ms a sample at n = 2048).
-# The budget admits the exhaustive oracle at n = 7 up to rank 16, about 40 s,
-# and bounds a run at about 40-50 s at any n.
-INSTANCE_WORDS = 48
+# on a 2-core VM with Python 3.11.7, a walked word taking 0.13-0.15 us: an
+# instance costs INSTANCE_WORDS words plus COORDINATE_WORDS words a
+# coordinate, its O(n) part (the n - 1 draws of a Fisher-Yates loop and the
+# 2n + 1 sums).  Monte Carlo on zero codes at n = 7..64 fits 15.0 + 3.99 n
+# words (12-17 words above 4n at each n); the exhaustive oracle's instance,
+# the next permutation, its basis and the sums, costs 18-22 words at
+# n = 8..10, below its 4n.  The budget admits the exhaustive oracle at n = 7
+# up to rank 16, about 40 s, and bounds a run at about 40-50 s at any n.
+INSTANCE_WORDS = 16
 COORDINATE_WORDS = 4
 WORD_BUDGET = math.factorial(7) * ((1 << 16) + INSTANCE_WORDS + COORDINATE_WORDS * 7)
 

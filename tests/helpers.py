@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,25 @@ def any_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the block with TimeoutError once it has run ``seconds`` seconds
+    (SIGALRM, so in the main thread only): the in-process counterpart of
+    ``fresh_cli_run``'s timeout."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = (), timeout: float = 120) -> str:
     """stdout of ``code`` run with ``args`` in a fresh interpreter that
     imports the package from this checkout's sources."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -31,11 +50,17 @@ def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
         [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def write_json(path, obj) -> str:
+    """Write ``obj`` as JSON to the pathlib ``path``; its text, for argv."""
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
 
 
 def fresh_cli_run(*argv: str, timeout: float = 30) -> tuple[int, str, str]:
@@ -51,6 +76,22 @@ def fresh_cli_run(*argv: str, timeout: float = 30) -> tuple[int, str, str]:
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def cli_run_to_file(out_path, *argv: str, timeout: float) -> float:
+    """Run the CLI with ``argv``, its stdout written byte for byte to
+    ``out_path``, and return its peak RSS in MiB.  The CLI is the only child
+    of a wrapper process, since RUSAGE_CHILDREN is the maximum over every
+    child its caller has reaped; a run past ``timeout`` seconds is killed
+    and fails the test."""
+    code = (
+        "import resource, subprocess, sys\n"
+        "with open(sys.argv[1], 'wb') as out:\n"
+        "    argv = [sys.executable, '-m', 'plotkin_wef.cli', *sys.argv[3:]]\n"
+        "    subprocess.run(argv, stdout=out, check=True, timeout=float(sys.argv[2]))\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
+    )
+    return float(_fresh_python(code, str(out_path), str(timeout), *argv, timeout=timeout + 30))
 
 
 def fresh_table_rows(*argv: str) -> int:
@@ -132,6 +173,14 @@ def random_spectrum(rng, n, max_num=8, max_den=6) -> WeightEnumerator:
         Fraction(rng.randint(0, max_num), rng.randint(1, max_den)) for _ in range(n + 1)
     ]
     return WeightEnumerator(n, tuple(coeffs))
+
+
+# Generator rows of a pair of ranks 6 + 6 at n = 7, which the oracles'
+# budget tests and test_scale's n = 7 oracle checks share.
+N7_PAIR_ROWS = (
+    ("1000001", "0100011", "0010010", "0001110", "0000101", "1111000"),
+    ("1100101", "0110011", "1011000", "0101110", "1110001", "0010111"),
+)
 
 
 def random_matrix(rng, n, k) -> BinaryMatrix:

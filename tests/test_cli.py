@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import Walked, any_int_digits, fresh_cli_modules, fresh_cli_run, stop_at_the_walk
+from helpers import (
+    N7_PAIR_ROWS,
+    Walked,
+    any_int_digits,
+    fresh_cli_modules,
+    fresh_cli_run,
+    stop_at_the_walk,
+    write_json,
+)
 from plotkin_wef import (
     BinaryMatrix,
     WeightEnumerator,
@@ -24,11 +32,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def write_json(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    return str(path)
 
 
 def write_units(path, n, k):
@@ -464,8 +467,8 @@ class TestOracle:
         assert run(capsys, "oracle", g7, g6, "--mode", "exhaustive") == (
             3,
             "",
-            "error: 8! permutations x 2^13 codewords (+ 48 + 4 x 8 words each) exceed"
-            " the word budget (max 330684480)\n",
+            "error: 8! permutations x 2^13 codewords (+ 16 + 4 x 8 words each) exceed"
+            " the word budget (max 330523200)\n",
         )
 
     @pytest.mark.parametrize(
@@ -477,8 +480,8 @@ class TestOracle:
                 8,
                 7,
                 3,
-                "error: 8! permutations x 2^14 codewords (+ 48 + 4 x 8 words each) exceed"
-                " the word budget (max 330684480)\n",
+                "error: 8! permutations x 2^14 codewords (+ 16 + 4 x 8 words each) exceed"
+                " the word budget (max 330523200)\n",
             ),
         ],
     )
@@ -499,12 +502,9 @@ class TestOracle:
         # refused before the first one.  The most draws that fit the word
         # budget reach the walk, one more exits 3 before any draw: at n = 7,
         # and for zero codes at n = 2048, where a draw takes about 1.2 ms.
-        rows = {
-            "g0": ["1000001", "0100011", "0010010", "0001110", "0000101", "1111000"],
-            "g1": ["1100101", "0110011", "1011000", "0101110", "1110001", "0010111"],
-        }
         g0, g1 = (
-            write_json(tmp_path / f"{name}.json", {"n": 7, "rows": r}) for name, r in rows.items()
+            write_json(tmp_path / f"g{i}.json", {"n": 7, "rows": r})
+            for i, r in enumerate(N7_PAIR_ROWS)
         )
         argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples"]
         started = time.perf_counter()
@@ -512,13 +512,13 @@ class TestOracle:
         assert time.perf_counter() - started < 5
         assert (code, out) == (3, "")
         assert err == (
-            "error: 1000000000 permutations x 2^12 codewords (+ 48 + 4 x 7 words each) exceed"
-            " the word budget (max 330684480)\n"
+            "error: 1000000000 permutations x 2^12 codewords (+ 16 + 4 x 7 words each) exceed"
+            " the word budget (max 330523200)\n"
         )
         zero = write_json(tmp_path / "zero.json", {"n": 2048, "rows": []})
         stop_at_the_walk(monkeypatch)
-        for g0, g1, n, rank, most in ((g0, g1, 7, 12, 79262), (zero, zero, 2048, 0, 40126)):
-            assert most == 330684480 // ((1 << rank) + 48 + 4 * n)
+        for g0, g1, n, rank, most in ((g0, g1, 7, 12, 79836), (zero, zero, 2048, 0, 40263)):
+            assert most == 330523200 // ((1 << rank) + 16 + 4 * n)
             argv = ["oracle", g0, g1, "--mode", "montecarlo", "--samples"]
             with pytest.raises(Walked, match=f"^{rank}$"):
                 run(capsys, *argv, str(most))
@@ -528,8 +528,8 @@ class TestOracle:
                 assert run(capsys, *argv, str(most + 1)) == (
                     3,
                     "",
-                    f"error: {most + 1} permutations x 2^{rank} codewords (+ 48 + 4 x {n} words"
-                    " each) exceed the word budget (max 330684480)\n",
+                    f"error: {most + 1} permutations x 2^{rank} codewords (+ 16 + 4 x {n} words"
+                    " each) exceed the word budget (max 330523200)\n",
                 )
 
     @pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
@@ -575,8 +575,8 @@ class TestOracle:
     @pytest.mark.parametrize(
         ("mode", "message"),
         [
-            ("exhaustive", "! permutations x 2^0 codewords (+ 48 + 4 x "),
-            ("montecarlo", " permutations x 2^0 codewords (+ 48 + 4 x "),
+            ("exhaustive", "! permutations x 2^0 codewords (+ 16 + 4 x "),
+            ("montecarlo", " permutations x 2^0 codewords (+ 16 + 4 x "),
         ],
     )
     @pytest.mark.parametrize("n", [2**64, 10**30])

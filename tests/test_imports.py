@@ -85,6 +85,9 @@ def test_cli_resolves_no_name_outside_the_package_all(name):
 # fractions loads decimal and numbers; together they cost a short call
 # several milliseconds of start-up.
 FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+# dataclasses (with the inspect, ast, dis and tokenize it imports) and typing
+# cost every CLI call about 9 ms of start-up; no command loads them.
+HEAVY_MODULES = {"dataclasses", "inspect", "typing"}
 
 
 def test_the_package_import_loads_no_submodule():
@@ -92,6 +95,12 @@ def test_the_package_import_loads_no_submodule():
     assert "plotkin_wef" in loaded
     assert not {m for m in loaded if m.startswith("plotkin_wef.")}
     assert not FRACTION_MODULES & loaded
+
+
+def test_the_cli_import_loads_no_dataclasses_inspect_or_typing():
+    loaded = fresh_modules("import plotkin_wef.cli")
+    assert "plotkin_wef.cli" in loaded
+    assert not HEAVY_MODULES & loaded
 
 
 def test_the_kernel_loads_no_other_package_module():
@@ -164,7 +173,7 @@ def test_combine_loads_no_tree_oracle_bound_or_fraction_modules(spectrum_files, 
     assert "plotkin_wef.plotkin" in loaded
     unwanted = {
         "plotkin_wef.codetree", "plotkin_wef.oracle", "plotkin_wef.bounds",
-        "fractions", "decimal",
+        "fractions", "decimal", *HEAVY_MODULES,
     }
     assert not unwanted & loaded
 
@@ -173,7 +182,7 @@ def test_bound_loads_no_tree_or_oracle_modules(spectrum_files):
     argv = ["bound", spectrum_files[0], "--rate", "1/2", "--ebn0", "3", "--truncate", "4"]
     _, loaded = fresh_cli_modules(*argv)
     assert "plotkin_wef.bounds" in loaded
-    assert not {"plotkin_wef.codetree", "plotkin_wef.oracle"} & loaded
+    assert not {"plotkin_wef.codetree", "plotkin_wef.oracle", *HEAVY_MODULES} & loaded
 
 
 @pytest.mark.parametrize(
@@ -191,7 +200,8 @@ def test_rm_and_tree_load_no_oracle_bound_or_fraction_modules(tmp_path, argv):
     argv = [str(tree) if a == "TREE" else a for a in argv]
     _, loaded = fresh_cli_modules(*argv)
     assert "plotkin_wef.codetree" in loaded
-    assert not {"plotkin_wef.oracle", "plotkin_wef.bounds", "fractions", "decimal"} & loaded
+    unwanted = {"plotkin_wef.oracle", "plotkin_wef.bounds", "fractions", "decimal"}
+    assert not (unwanted | HEAVY_MODULES) & loaded
 
 
 def test_emit_generator_loads_oracle(capsys, tmp_path):
@@ -201,7 +211,7 @@ def test_emit_generator_loads_oracle(capsys, tmp_path):
     out, loaded = fresh_cli_modules(*argv)
     assert "plotkin_wef.oracle" in loaded
     assert "plotkin_wef.bounds" not in loaded
-    assert not FRACTION_MODULES & loaded
+    assert not (FRACTION_MODULES | HEAVY_MODULES) & loaded
     assert cli.main(argv) == 0
     assert out == capsys.readouterr().out
     assert out.splitlines()[1:] == ["11110000", "11001100", "10101010", "11111111"]

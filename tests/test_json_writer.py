@@ -1,6 +1,7 @@
 """The record writer: ``enumerator.dump_json`` writes ``json.dumps(obj,
 indent=2)`` byte for byte, with canonical coefficient blocks unescaped."""
 
+import contextlib
 import io
 import json
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import write_json
 from plotkin_wef import cli
 from plotkin_wef.enumerator import (
     CanonicalCoeffs,
@@ -86,11 +88,6 @@ def test_spectrum_writers_return_canonical_blocks():
     assert dumped(echo) == json.dumps(echo, indent=2)
 
 
-def write_json(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    return str(path)
-
-
 def command_lines(tmp_path):
     """One or more command lines of every command, with --format json."""
     u = write_json(tmp_path / "u.json", {"n": 4, "coeffs": {"0": "1", "2": "10/4", "4": 3}})
@@ -99,6 +96,11 @@ def command_lines(tmp_path):
     g0 = write_json(tmp_path / "g0.json", {"n": 3, "rows": ["100"]})
     g1 = write_json(tmp_path / "g1.json", {"n": 3, "rows": ["110"]})
     spectrum = write_json(tmp_path / "s.json", {"n": 8, "coeffs": {"0": "1", "4": "14", "8": "1"}})
+    # A combine record with "p/q" texts, as bound reads it.
+    record = tmp_path / "combine.json"
+    with open(record, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        assert cli.main(["combine", u, v, "--format", "json"]) == 0
+    assert "/" in record.read_text(encoding="utf-8")
     return [
         ["rm", "2", "5"],
         ["rm", "1", "4", "--partial", "6"],
@@ -109,10 +111,11 @@ def command_lines(tmp_path):
         ["oracle", g0, g1],
         ["oracle", g0, g1, "--mode", "montecarlo", "--samples", "50", "--seed", "3"],
         ["bound", spectrum, "--rate", "1/2", "--ebn0", "2.5", "--truncate", "8"],
+        ["bound", str(record), "--rate", "1/2", "--ebn0", "3", "--truncate", "8"],
     ]
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(10))
 def test_every_command_record_is_written_as_json_dumps(capsys, tmp_path, index):
     argv = [*command_lines(tmp_path)[index], "--format", "json"]
     args = cli.build_parser().parse_args(argv)

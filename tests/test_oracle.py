@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import Walked, random_matrix, stacked_identity_generator, stop_at_the_walk
+from helpers import (
+    N7_PAIR_ROWS,
+    Walked,
+    random_matrix,
+    stacked_identity_generator,
+    stop_at_the_walk,
+)
 from plotkin_wef import (
     BinaryMatrix,
     BudgetError,
@@ -37,13 +43,7 @@ G_REP3 = BinaryMatrix.from_strings(["111"])
 G_SPC3 = BinaryMatrix.from_strings(["110", "011"])
 G_100 = BinaryMatrix.from_strings(["100"])
 G_110 = BinaryMatrix.from_strings(["110"])
-# The ranks 6 + 6 pair at n = 7 that CI runs through the installed script.
-CI_G0 = BinaryMatrix.from_strings(
-    ["1000001", "0100011", "0010010", "0001110", "0000101", "1111000"]
-)
-CI_G1 = BinaryMatrix.from_strings(
-    ["1100101", "0110011", "1011000", "0101110", "1110001", "0010111"]
-)
+N7_G0, N7_G1 = (BinaryMatrix.from_strings(rows) for rows in N7_PAIR_ROWS)
 
 
 def _units(n, k):
@@ -275,23 +275,23 @@ class TestExhaustiveEnsemble:
         zero = BinaryMatrix(8, ())
         assert ensemble_wef_exhaustive(zero, zero) == WeightEnumerator(16, (1,) + (0,) * 16)
         # Each boundary from both sides: 8! instances of rank 12 and 10!
-        # of rank 1 fit the budget, rank 13 at n = 8, rank 2 at n = 10 and
+        # of rank 5 fit the budget, rank 13 at n = 8, rank 6 at n = 10 and
         # rank 0 at n = 11 do not.  An admitted run stops at its first walk.
         def words(n, rank):
             return (1 << rank) + INSTANCE_WORDS + COORDINATE_WORDS * n
 
         assert math.factorial(8) * words(8, 12) <= WORD_BUDGET < math.factorial(8) * words(8, 13)
-        assert math.factorial(10) * words(10, 1) <= WORD_BUDGET < math.factorial(10) * words(10, 2)
+        assert math.factorial(10) * words(10, 5) <= WORD_BUDGET < math.factorial(10) * words(10, 6)
         assert WORD_BUDGET < math.factorial(11) * words(11, 0)
         stop_at_the_walk(monkeypatch)
         with pytest.raises(Walked, match="^12$"):
             ensemble_wef_exhaustive(_units(8, 6), _units(8, 6))
         with pytest.raises(BudgetError, match=r"^8! permutations x 2\^13 codewords"):
             ensemble_wef_exhaustive(_units(8, 7), _units(8, 6))
-        with pytest.raises(Walked, match="^1$"):
-            ensemble_wef_exhaustive(_units(10, 1), BinaryMatrix(10, ()))
-        with pytest.raises(BudgetError, match=r"^10! permutations x 2\^2 codewords"):
-            ensemble_wef_exhaustive(_units(10, 1), _units(10, 1))
+        with pytest.raises(Walked, match="^5$"):
+            ensemble_wef_exhaustive(_units(10, 3), _units(10, 2))
+        with pytest.raises(BudgetError, match=r"^10! permutations x 2\^6 codewords"):
+            ensemble_wef_exhaustive(_units(10, 3), _units(10, 3))
         with pytest.raises(BudgetError, match=r"^11! permutations x 2\^0 codewords"):
             ensemble_wef_exhaustive(BinaryMatrix(11, ()), BinaryMatrix(11, ()))
 
@@ -399,7 +399,7 @@ class TestMonteCarlo:
         # at n = 7 and n = 2048, where a sample takes about 1.2 ms.
         stop_at_the_walk(monkeypatch)
         zero, wide = BinaryMatrix(7, ()), BinaryMatrix(2048, ())
-        for G0, G1, rank in ((CI_G0, CI_G1, 12), (zero, zero, 0), (wide, wide, 0)):
+        for G0, G1, rank in ((N7_G0, N7_G1, 12), (zero, zero, 0), (wide, wide, 0)):
             most = WORD_BUDGET // ((1 << rank) + INSTANCE_WORDS + COORDINATE_WORDS * G0.n)
             with pytest.raises(Walked, match=f"^{rank}$"):
                 ensemble_wef_montecarlo(G0, G1, most, 0)
@@ -434,7 +434,7 @@ def _ones(n, k):
 
 
 def _refusal(runs, n):
-    return f"{runs} codewords (+ 48 + 4 x {n} words each) exceed the word budget (max 330684480)"
+    return f"{runs} codewords (+ 16 + 4 x {n} words each) exceed the word budget (max 330523200)"
 
 
 @pytest.mark.parametrize(
@@ -471,7 +471,7 @@ def _refusal(runs, n):
             _refusal("1000000000 permutations x 2^2", 5),
         ),
         (
-            lambda: ensemble_wef_montecarlo(CI_G0, CI_G1, 10**9, 1),
+            lambda: ensemble_wef_montecarlo(N7_G0, N7_G1, 10**9, 1),
             BudgetError,
             _refusal("1000000000 permutations x 2^12", 7),
         ),
